@@ -37,9 +37,9 @@ def h1(m: GModule, validate: bool = True) -> CocycleSpace:
     With validate=True the generator matrices are also checked to define a
     homomorphism on every relation-closing Cayley edge.
     """
-    g = m.group.enumerate()
+    m.group.enumerate()
+    z_rows, ncols = _z1_constraints(m, validate)
     if m.l == 2:
-        z_rows, ncols = _harvest_constraints_f2(m, validate)
         _, ker = gf2.f2_rank_kernel(gf2.F2Matrix(len(z_rows), ncols, z_rows))
         kernel_vecs = ker.rows
         z1 = len(kernel_vecs)
@@ -47,8 +47,7 @@ def h1(m: GModule, validate: bool = True) -> CocycleSpace:
         b1 = gf2.F2Matrix(len(b_rows), ncols, b_rows).rank()
         basis = tuple(_unpack_cocycle_f2(v, m) for v in kernel_vecs)
     else:
-        rows, ncols = _harvest_constraints_fp(m, validate)
-        kernel_vecs = fp.kernel_basis(rows, ncols, m.l)
+        kernel_vecs = fp.kernel_basis(z_rows, ncols, m.l)
         z1 = len(kernel_vecs)
         b_rows = _coboundary_rows_fp(m)
         b1 = fp.rank(b_rows, m.l)
@@ -62,12 +61,18 @@ def h1_dim(m: GModule, validate: bool = True) -> int:
 
 def validate_module(m: GModule) -> None:
     """Check the generator assignment extends to the group; raises on failure."""
-    if m._validated:
-        return
-    if m.l == 2:
-        _harvest_constraints_f2(m, True)
-    else:
-        _harvest_constraints_fp(m, True)
+    if not m._validated:
+        _z1_constraints(m, True)
+
+
+def _z1_constraints(m: GModule, validate: bool):
+    """(rows, ncols) of the Z^1 constraints, harvested from the Cayley graph
+    once per module and cached on it; harvested again only while validation
+    is still owed."""
+    if m._z1_rows is None or (validate and not m._validated):
+        harvest = _harvest_constraints_f2 if m.l == 2 else _harvest_constraints_fp
+        m._z1_rows = harvest(m, validate)
+    return m._z1_rows
 
 
 def _harvest_constraints_f2(m: GModule, validate: bool):
@@ -265,18 +270,21 @@ def _unpack_cocycle_fp(vec, m: GModule):
 
 def is_cocycle(m: GModule, values) -> bool:
     """Do the per-generator values satisfy every Cayley relation."""
+    return _satisfies_constraints(m, values)
+
+
+def _satisfies_constraints(m: GModule, values) -> bool:
+    rows, _ = _z1_constraints(m, False)
     if m.l == 2:
-        z_rows, n = _harvest_constraints_f2(m, False)
         packed = _pack_cocycle_f2(values, m)
-        return all((row & packed).bit_count() % 2 == 0 for row in z_rows)
-    rows, n = _harvest_constraints_fp(m, False)
+        return all((row & packed).bit_count() % 2 == 0 for row in rows)
     flat = [x for v in values for x in v]
     return all(sum(a * b for a, b in zip(row, flat)) % m.l == 0 for row in rows)
 
 
 def cocycle_class_is_nonzero(m: GModule, values) -> bool:
     """Is the class of the given cocycle nonzero in H^1 (i.e. not a coboundary)."""
-    if not is_cocycle(m, values):
+    if not _satisfies_constraints(m, values):
         raise EngineError("the given values do not satisfy the cocycle condition")
     if m.l == 2:
         packed = _pack_cocycle_f2(values, m)

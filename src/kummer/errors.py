@@ -63,3 +63,7 @@ class GTooLarge(EngineError):
 
 class InputError(EngineError):
     """Malformed case input (CLI exit code 1)."""
+
+
+class GroupCheckFailed(EngineError):
+    """A group construction or enumeration failed a soundness check."""

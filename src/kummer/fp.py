@@ -20,25 +20,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_inverse(a, p):
-    n = len(a)
-    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if work[i][c] % p), None)
-        if piv is None:
-            raise ValueError("matrix is singular mod p")
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][c] % p:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        r += 1
-    return [row[n:] for row in work]
-
-
 def rref(rows, p):
     """Reduced row echelon form; returns (rows, pivot_cols)."""
     work = [[x % p for x in r] for r in rows if any(x % p for x in r)]

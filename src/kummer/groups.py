@@ -1,251 +1,161 @@
-"""Finite group engine: permutations, matrix groups over small prime fields,
-semidirect products V x| G with V an F_2 space, direct products, Cayley-BFS
-enumeration, normal closures and index-l quotient detection.
+"""Finite group engine: one element type, a permutation of at most 256 points
+stored as the ``bytes`` of its inverse, plus Cayley-BFS enumeration, normal
+closures, index-l quotient detection and symplectic generators.
 
-Elements hash by a canonical byte-free key tuple, so enumeration order is
-deterministic for a fixed generator order.
+Every group acts faithfully on its points: S_d and A_d on d points, Sp and
+GSp(4, F_l) on the l^4 vectors of F_l^4, V x| G on V's 2^dim points (by the
+affine map) followed by G's own points, and a direct product on the disjoint
+union of its factors' points.  Storing the inverse makes right multiplication
+by s one C call, ``x.translate(T_s)`` with T_s the 256-byte table of s^-1, and
+the bytes are their own hash key, so enumeration order is deterministic for a
+fixed generator order.  Vector-space blocks of points (``FiniteGroup.blocks``)
+let ``affine`` read each element's matrix and translation back off its points.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import gf2
-from .errors import CapExceeded, DimensionMismatch
+from .errors import CapExceeded, DimensionMismatch, GroupCheckFailed
 
 DEFAULT_CAP = 2_000_000
+MAX_POINTS = 256
+_ID = bytes(range(MAX_POINTS))
 
 
-class Perm:
-    """Permutation of {0..n-1}, stored as the tuple of images."""
+def permutation(imgs):
+    """The element sending point i to imgs[i].
 
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        self.images = tuple(images)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(range(n))
-
-    @classmethod
-    def from_cycles(cls, n, cycles):
-        img = list(range(n))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                img[a] = b
-        return cls(img)
-
-    def __mul__(self, other):
-        # (self * other)(x) = self(other(x))
-        o = other.images
-        s = self.images
-        return Perm(s[o[x]] for x in range(len(s)))
-
-    def inverse(self):
-        img = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            img[j] = i
-        return Perm(img)
-
-    def key(self):
-        return ("p", self.images)
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def is_even(self):
-        seen = [False] * len(self.images)
-        parity = 0
-        for i in range(len(self.images)):
-            if seen[i]:
-                continue
-            j = i
-            ln = 0
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                ln += 1
-            parity ^= (ln - 1) & 1
-        return parity == 0
-
-    def __repr__(self):
-        return f"Perm{self.images}"
-
-
-class FpMat:
-    """Invertible square matrix over F_p (column vectors, left action)."""
-
-    __slots__ = ("p", "rows")
-
-    def __init__(self, p, rows):
-        self.p = p
-        self.rows = tuple(tuple(x % p for x in r) for r in rows)
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    def __mul__(self, other):
-        p = self.p
-        bt = tuple(zip(*other.rows))
-        return FpMat(
-            p,
-            [
-                tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-                for row in self.rows
-            ],
-        )
-
-    def inverse(self):
-        from .fp import mat_inverse
-
-        return FpMat(self.p, mat_inverse([list(r) for r in self.rows], self.p))
-
-    def key(self):
-        return ("m", self.p, self.rows)
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __eq__(self, other):
-        return isinstance(other, FpMat) and self.p == other.p and self.rows == other.rows
-
-    def __repr__(self):
-        return f"FpMat(p={self.p}, {self.rows})"
-
-
-class SemidirectElement:
-    """Pair (v, g) in V x| G with V = F_2^dim and multiplication
-    (v1, g1) (v2, g2) = (v1 + g1.v2, g1 g2).
-
-    ``mat`` is the action matrix of g on V as packed F_2 rows; it is carried
-    along so products never have to re-derive the action from a word.
+    Past MAX_POINTS the inverse is kept as a tuple: such a group can be built
+    and inspected, but ``enumerate`` refuses it.
     """
-
-    __slots__ = ("v", "g", "mat")
-
-    def __init__(self, v, g, mat):
-        self.v = v
-        self.g = g
-        self.mat = tuple(mat)
-
-    def __mul__(self, other):
-        return SemidirectElement(
-            self.v ^ gf2.matvec(self.mat, other.v),
-            self.g * other.g,
-            gf2.matmul_rows(self.mat, other.mat),
-        )
-
-    def inverse(self):
-        minv = gf2.mat_inverse(list(self.mat)) if self.mat else []
-        return SemidirectElement(gf2.matvec(minv, self.v), self.g.inverse(), minv)
-
-    def key(self):
-        return ("sd", self.v, self.g.key())
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemidirectElement)
-            and self.v == other.v
-            and self.g == other.g
-        )
-
-    def __repr__(self):
-        return f"SemidirectElement(v={self.v:b}, g={self.g!r})"
+    imgs = tuple(imgs)
+    if sorted(imgs) != list(range(len(imgs))):
+        raise GroupCheckFailed("generator images do not permute the points")
+    inv = [0] * len(imgs)
+    for i, j in enumerate(imgs):
+        inv[j] = i
+    return bytes(inv) if len(inv) <= MAX_POINTS else tuple(inv)
 
 
-class DirectElement:
-    """Tuple of factor elements with componentwise multiplication."""
+def from_cycles(n, cycles):
+    img = list(range(n))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            img[a] = b
+    return permutation(img)
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts):
-        self.parts = tuple(parts)
+def images(x):
+    """Point images of an element (the inverse of what it stores)."""
+    out = [0] * len(x)
+    for i, j in enumerate(x):
+        out[j] = i
+    return tuple(out)
 
-    def __mul__(self, other):
-        return DirectElement(a * b for a, b in zip(self.parts, other.parts))
 
-    def inverse(self):
-        return DirectElement(a.inverse() for a in self.parts)
+def _table(x):
+    return x + _ID[len(x) :]
 
-    def key(self):
-        return ("x",) + tuple(a.key() for a in self.parts)
 
-    def __hash__(self):
-        return hash(self.key())
+def mul(*xs):
+    """Product x1 x2 ... (the last factor acts first)."""
+    return reduce(lambda a, b: a.translate(_table(b)), xs)
 
-    def __eq__(self, other):
-        return isinstance(other, DirectElement) and self.parts == other.parts
 
-    def __repr__(self):
-        return f"DirectElement{self.parts}"
+def inverse(x):
+    return bytes(images(x))
+
+
+def is_even(x):
+    """Parity from the cycle count (x and its inverse share it)."""
+    seen = set()
+    cycles = 0
+    for i in range(len(x)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = x[i]
+    return (len(x) - cycles) % 2 == 0
+
+
+def affine(x, block):
+    """(matrix rows, translation) of x on a block (offset, dim, l) of the points
+    F_l^dim, point sum(v_i l^i) <-> v: the translation is the image of the
+    zero vector and column c is the image of e_c minus it."""
+    off, dim, l = block
+    img = images(x)
+
+    def vec(p):
+        y = img[off + p] - off
+        return [y // l**i % l for i in range(dim)]
+
+    v = vec(0)
+    cols = [[(a - b) % l for a, b in zip(vec(l**c), v)] for c in range(dim)]
+    return tuple(tuple(col[r] for col in cols) for r in range(dim)), tuple(v)
 
 
 class FiniteGroup:
-    """Finitely generated group with bounded Cayley-BFS enumeration.
+    """Finitely generated permutation group with bounded Cayley-BFS enumeration.
 
     After ``enumerate()``: ``elements`` is the BFS-ordered element list with
     the identity at index 0, ``edges[i*k + j]`` is the index of
     ``elements[i] * generators[j]``, and ``parents[y]`` is the flat edge index
-    that first produced y (tree edge), -1 for the identity.
+    that first produced y (tree edge), -1 for the identity.  ``blocks`` lists
+    the (offset, dim, l) vector-space blocks of the points.
     """
 
-    def __init__(self, generators, cap=DEFAULT_CAP, known_order=None, name=""):
+    def __init__(self, generators, cap=DEFAULT_CAP, known_order=None, name="", blocks=()):
         self.generators = list(generators)
-        assert self.generators, "a group needs at least one generator"
+        if not self.generators:
+            raise GroupCheckFailed("a group needs at least one generator")
+        if len({len(s) for s in self.generators}) != 1:
+            raise GroupCheckFailed("generators act on different point sets")
         self.cap = cap
         self.known_order = known_order
         self.name = name
+        self.blocks = tuple(blocks)
         self.elements = None
         self.edges = None
         self.parents = None
-        self._index = None
+
+    @property
+    def degree(self):
+        return len(self.generators[0])
 
     def identity(self):
-        g = self.generators[0]
-        return g * g.inverse()
+        return permutation(range(self.degree))
 
     def enumerate(self):
         """Freeze the element list and Cayley edges (idempotent)."""
         if self.elements is not None:
             return self
+        label = self.name or "group"
         if self.known_order is not None and self.known_order > self.cap:
-            raise CapExceeded(
-                f"{self.name or 'group'} has order {self.known_order} > cap {self.cap}"
-            )
-        gens = self.generators
-        k = len(gens)
+            raise CapExceeded(f"{label} has order {self.known_order} > cap {self.cap}")
+        if self.degree > MAX_POINTS:
+            raise CapExceeded(f"{label} acts on {self.degree} > {MAX_POINTS} points")
+        tables = [_table(s) for s in self.generators]
+        k = len(tables)
         e = self.identity()
         elements = [e]
-        index = {e.key(): 0}
+        index = {e: 0}
         edges = []
         parents = [-1]
         i = 0
         while i < len(elements):
             x = elements[i]
-            for j, s in enumerate(gens):
-                y = x * s
-                ky = y.key()
-                yi = index.get(ky)
+            for j, t in enumerate(tables):
+                y = x.translate(t)
+                yi = index.get(y)
                 if yi is None:
                     yi = len(elements)
                     if yi >= self.cap:
-                        raise CapExceeded(
-                            f"enumeration of {self.name or 'group'} passed cap {self.cap}"
-                        )
-                    index[ky] = yi
+                        raise CapExceeded(f"enumeration of {label} passed cap {self.cap}")
+                    index[y] = yi
                     elements.append(y)
                     parents.append(i * k + j)
                 edges.append(yi)
@@ -253,10 +163,9 @@ class FiniteGroup:
         self.elements = elements
         self.edges = edges
         self.parents = parents
-        self._index = index
         if self.known_order is not None and self.known_order != len(elements):
-            raise AssertionError(
-                f"{self.name}: enumerated order {len(elements)} != expected {self.known_order}"
+            raise GroupCheckFailed(
+                f"{label}: enumerated order {len(elements)} != expected {self.known_order}"
             )
         return self
 
@@ -264,24 +173,17 @@ class FiniteGroup:
         self.enumerate()
         return len(self.elements)
 
-    def index_of(self, el):
-        self.enumerate()
-        return self._index[el.key()]
-
-    def __contains__(self, el):
-        self.enumerate()
-        return el.key() in self._index
-
     def element_orders(self):
         """Sorted list of element orders (desk scale only)."""
         self.enumerate()
         e = self.identity()
         out = []
         for x in self.elements:
+            t = _table(x)
             n = 1
             y = x
             while y != e:
-                y = y * x
+                y = y.translate(t)
                 n += 1
             out.append(n)
         return sorted(out)
@@ -292,16 +194,16 @@ class FiniteGroup:
     def subgroup_closure(self, seeds):
         """Elements of <seeds>, BFS products only (enough for finite groups)."""
         e = self.identity()
-        els = {e.key(): e}
+        els = {e}
         order_list = [e]
         gens = []
         for t in seeds:
-            if t.key() not in els:
+            if t not in els:
                 self._extend_closure(els, order_list, gens, t)
         return els, order_list, gens
 
     def normal_closure(self, seeds):
-        """Smallest normal subgroup containing the seeds, as an element dict."""
+        """Smallest normal subgroup containing the seeds, as an element set."""
         els, order_list, gens = self.subgroup_closure(seeds)
         # conjugating the subgroup generators by the group generators is enough
         # for normality; new conjugates are folded in until stable
@@ -309,8 +211,8 @@ class FiniteGroup:
         while i < len(gens):
             t = gens[i]
             for s in self.generators:
-                c = s * t * s.inverse()
-                if c.key() not in els:
+                c = mul(s, t, inverse(s))
+                if c not in els:
                     self._extend_closure(els, order_list, gens, c)
             i += 1
         return els
@@ -319,23 +221,22 @@ class FiniteGroup:
         # incremental product closure after adjoining t: every existing element
         # is multiplied by t once, then the new tail is closed under all gens
         gens.append(t)
+        tables = [_table(u) for u in gens]
         n0 = len(order_list)
         for idx in range(n0):
-            y = order_list[idx] * t
-            ky = y.key()
-            if ky not in els:
-                els[ky] = y
+            y = order_list[idx].translate(tables[-1])
+            if y not in els:
+                els.add(y)
                 order_list.append(y)
         j = n0
         while j < len(order_list):
             x = order_list[j]
-            for u in gens:
-                y = x * u
-                ky = y.key()
-                if ky not in els:
+            for u in tables:
+                y = x.translate(u)
+                if y not in els:
                     if len(els) >= self.cap:
                         raise CapExceeded("closure passed cap")
-                    els[ky] = y
+                    els.add(y)
                     order_list.append(y)
             j += 1
 
@@ -343,23 +244,20 @@ class FiniteGroup:
 def elementary_l_quotient_kernel(g: FiniteGroup, l: int):
     """Normal closure K of generator commutators and l-th powers of generators.
 
-    g/K is the maximal elementary abelian l-quotient; returns the element dict
+    g/K is the maximal elementary abelian l-quotient; returns the element set
     of K.
     """
     g.enumerate()
     gens = g.generators
     seeds = [
-        s1 * s2 * s1.inverse() * s2.inverse()
+        mul(s1, s2, inverse(s1), inverse(s2))
         for i, s1 in enumerate(gens)
         for s2 in gens[i + 1 :]
     ]
-    for s in gens:
-        x = s
-        for _ in range(l - 1):
-            x = x * s
-        seeds.append(x)
+    seeds += [mul(*[s] * l) for s in gens]
     k = g.normal_closure(seeds)
-    assert len(g.elements) % len(k) == 0
+    if len(g.elements) % len(k):
+        raise GroupCheckFailed(f"closure order {len(k)} does not divide {len(g.elements)}")
     return k
 
 
@@ -368,18 +266,6 @@ def has_index_l_normal_subgroup(g: FiniteGroup, l: int) -> bool:
     elementary quotient kernel)."""
     k = elementary_l_quotient_kernel(g, l)
     return (len(g.elements) // len(k)) % l == 0
-
-
-def index_l_quotient_rank(g: FiniteGroup, l: int) -> int:
-    """r such that the maximal elementary abelian l-quotient of g is (Z/l)^r."""
-    k = elementary_l_quotient_kernel(g, l)
-    idx = len(g.elements) // len(k)
-    r = 0
-    while idx % l == 0:
-        idx //= l
-        r += 1
-    assert idx == 1, "quotient by the closure is not an l-group"
-    return r
 
 
 def semidirect(v_dim: int, g: FiniteGroup, action) -> FiniteGroup:
@@ -392,12 +278,24 @@ def semidirect(v_dim: int, g: FiniteGroup, action) -> FiniteGroup:
     """
     mats = _action_rows(v_dim, g, action)
     idrows = tuple(1 << i for i in range(v_dim))
-    gens = [SemidirectElement(1 << i, g.identity(), idrows) for i in range(v_dim)]
-    gens += [SemidirectElement(0, s, mats[j]) for j, s in enumerate(g.generators)]
+    gens = [(1 << i, g.identity(), idrows) for i in range(v_dim)]
+    gens += [(0, s, mats[j]) for j, s in enumerate(g.generators)]
     order = g.known_order * (1 << v_dim) if g.known_order else None
     if g.elements is not None and order is None:
         order = len(g.elements) * (1 << v_dim)
-    return FiniteGroup(gens, cap=g.cap, known_order=order, name=f"2^{v_dim} x| {g.name or 'G'}")
+    return affine_extension(g, v_dim, gens, order, f"2^{v_dim} x| {g.name or 'G'}")
+
+
+def affine_extension(g: FiniteGroup, dim: int, gens, known_order, name) -> FiniteGroup:
+    """Group generated by affine maps (v, s, rows): w -> rows.w + v on F_2^dim
+    with s an element of g; it acts on the 2^dim points of F_2^dim followed by
+    g's own points, on which s acts as in g."""
+    n = 1 << dim
+    els = [
+        permutation([gf2.matvec(rows, w) ^ v for w in range(n)] + [n + y for y in images(s)])
+        for v, s, rows in gens
+    ]
+    return FiniteGroup(els, cap=g.cap, known_order=known_order, name=name, blocks=[(0, dim, 2)])
 
 
 def _action_rows(v_dim, g, action):
@@ -431,21 +329,27 @@ def _action_rows(v_dim, g, action):
 
 
 def direct_product(*groups) -> FiniteGroup:
-    """Direct product; generators are factor generators padded with identities."""
-    ids = [g.identity() for g in groups]
+    """Direct product on the disjoint union of the factors' points; generators
+    are the factor generators, each fixing the other factors' points."""
+    total = sum(g.degree for g in groups)
     gens = []
-    for i, g in enumerate(groups):
+    blocks = []
+    off = 0
+    for g in groups:
         for s in g.generators:
-            parts = list(ids)
-            parts[i] = s
-            gens.append(DirectElement(parts))
+            img = list(range(total))
+            img[off : off + g.degree] = [off + y for y in images(s)]
+            gens.append(permutation(img))
+        blocks += [(off + o, d, l) for o, d, l in g.blocks]
+        off += g.degree
     order = None
     if all(g.known_order or g.elements is not None for g in groups):
         order = 1
         for g in groups:
             order *= g.known_order if g.known_order else len(g.elements)
     cap = max(g.cap for g in groups)
-    return FiniteGroup(gens, cap=cap, known_order=order, name=" x ".join(g.name or "G" for g in groups))
+    name = " x ".join(g.name or "G" for g in groups)
+    return FiniteGroup(gens, cap=cap, known_order=order, name=name, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +359,7 @@ def direct_product(*groups) -> FiniteGroup:
 @lru_cache(maxsize=None)
 def symmetric_group(d) -> FiniteGroup:
     """S_d from the transposition (0 1) and the d-cycle."""
-    gens = [
-        Perm.from_cycles(d, [(0, 1)]),
-        Perm.from_cycles(d, [tuple(range(d))]),
-    ]
+    gens = [from_cycles(d, [(0, 1)]), from_cycles(d, [tuple(range(d))])]
     return FiniteGroup(gens, known_order=math.factorial(d), name=f"S{d}")
 
 
@@ -467,12 +368,9 @@ def alternating_group(d) -> FiniteGroup:
     """A_d for odd d, from a 3-cycle and the (even) d-cycle."""
     assert d % 2 == 1 and d >= 3
     if d == 3:
-        gens = [Perm.from_cycles(3, [(0, 1, 2)])]
+        gens = [from_cycles(3, [(0, 1, 2)])]
     else:
-        gens = [
-            Perm.from_cycles(d, [(0, 1, 2)]),
-            Perm.from_cycles(d, [tuple(range(d))]),
-        ]
+        gens = [from_cycles(d, [(0, 1, 2)]), from_cycles(d, [tuple(range(d))])]
     return FiniteGroup(gens, known_order=math.factorial(d) // 2, name=f"A{d}")
 
 
@@ -502,28 +400,32 @@ def symplectic_form(n):
 
 
 def transvection(v, l, n):
-    """Symplectic transvection x -> x + <x, v> v as an FpMat (column action)."""
+    """Symplectic transvection x -> x + <x, v> v as matrix rows (column action)."""
     j = symplectic_form(n)
     vj = [sum(v[a] * j[a][b] for a in range(n)) % l for b in range(n)]
-    rows = [
-        [((1 if i == k else 0) + v[i] * vj[k]) % l for k in range(n)]
-        for i in range(n)
-    ]
-    m = FpMat(l, rows)
-    assert _preserves_form(m, j, l, 1)
+    m = [[((1 if i == k else 0) + v[i] * vj[k]) % l for k in range(n)] for i in range(n)]
+    _check_form(m, j, l, 1)
     return m
 
 
-def _preserves_form(m, j, l, mu):
-    n = m.n
-    # column action: <Mx, My> = x^T (M^T J M) y must equal mu * <x, y>
-    mt = list(zip(*m.rows))
+def _check_form(m, j, l, mu):
+    """Raise unless <Mx, My> = mu <x, y>, i.e. M^T J M = mu J."""
+    n = len(m)
+    mt = list(zip(*m))
     mtj = [[sum(mt[i][a] * j[a][b] for a in range(n)) % l for b in range(n)] for i in range(n)]
-    mtjm = [
-        [sum(mtj[i][a] * m.rows[a][b] for a in range(n)) % l for b in range(n)]
-        for i in range(n)
-    ]
-    return all(mtjm[i][k] == (mu * j[i][k]) % l for i in range(n) for k in range(n))
+    mtjm = [[sum(mtj[i][a] * m[a][b] for a in range(n)) % l for b in range(n)] for i in range(n)]
+    if any(mtjm[i][k] != (mu * j[i][k]) % l for i in range(n) for k in range(n)):
+        raise GroupCheckFailed(f"matrix does not scale the symplectic form by {mu}")
+
+
+def _linear_action(m, l):
+    """The element acting on the l^n vectors of F_l^n, point sum(v_i l^i) <-> v."""
+    n = len(m)
+    out = []
+    for x in range(l**n):
+        v = [x // l**i % l for i in range(n)]
+        out.append(sum(sum(a * b for a, b in zip(row, v)) % l * l**r for r, row in enumerate(m)))
+    return permutation(out)
 
 
 # transvection directions that generate Sp(4, F_l) for small l; verified by
@@ -542,9 +444,12 @@ _SP4_DIRECTIONS = [
 def symplectic_group(n, l) -> FiniteGroup:
     """Sp(n, F_l) generated by symplectic transvections (n = 4 supported)."""
     assert n == 4, "only the rank-two case is wired up"
-    gens = [transvection(v, l, n) for v in _SP4_DIRECTIONS]
+    gens = [_linear_action(transvection(v, l, n), l) for v in _SP4_DIRECTIONS]
     return FiniteGroup(
-        gens, known_order=group_order_formula("Sp", n, l), name=f"Sp({n},F{l})"
+        gens,
+        known_order=group_order_formula("Sp", n, l),
+        name=f"Sp({n},F{l})",
+        blocks=[(0, n, l)],
     )
 
 
@@ -557,11 +462,13 @@ def general_symplectic_group(n, l) -> FiniteGroup:
     for i in range(0, n, 2):
         d[i][i] = nu
         d[i + 1][i + 1] = 1
-    sim = FpMat(l, d)
-    assert _preserves_form(sim, symplectic_form(n), l, nu)
-    gens = list(symplectic_group(n, l).generators) + [sim]
+    _check_form(d, symplectic_form(n), l, nu)
+    gens = list(symplectic_group(n, l).generators) + [_linear_action(d, l)]
     return FiniteGroup(
-        gens, known_order=group_order_formula("GSp", n, l), name=f"GSp({n},F{l})"
+        gens,
+        known_order=group_order_formula("GSp", n, l),
+        name=f"GSp({n},F{l})",
+        blocks=[(0, n, l)],
     )
 
 

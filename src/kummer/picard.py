@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .errors import ActionMismatch, GTooLarge
-from .groups import DirectElement, FiniteGroup, SemidirectElement
+from .groups import FiniteGroup, affine, affine_extension, images
 from .lattice import Lattice, lattice_index
 from .reps import GModule
 from .smith import ZMatrix, _snf, bareiss_rank
@@ -175,14 +175,10 @@ def torsor_factor_group(module: GModule, nontrivial: bool, cocycle=None) -> Fini
             cvals.append(sum((int(x) & 1) << i for i, x in enumerate(c)))
     gens = []
     if nontrivial:
-        gens.append(
-            SemidirectElement(1, module.group.identity(), tuple(1 << i for i in range(dim)))
-        )
+        gens.append((1, module.group.identity(), tuple(1 << i for i in range(dim))))
     elif any(cvals):
         raise ActionMismatch("trivial torsor factors cannot carry a cocycle twist")
-    gens += [
-        SemidirectElement(cvals[j], s, rows_per_gen[j]) for j, s in enumerate(ggens)
-    ]
+    gens += [(cvals[j], s, rows_per_gen[j]) for j, s in enumerate(ggens)]
     base_order = module.group.known_order
     if base_order is None and module.group.elements is not None:
         base_order = len(module.group.elements)
@@ -190,41 +186,24 @@ def torsor_factor_group(module: GModule, nontrivial: bool, cocycle=None) -> Fini
     if base_order is not None:
         order = base_order * ((1 << dim) if nontrivial else 1)
     name = f"{'2^%d x| ' % dim if nontrivial else ''}{module.group.name or 'G'}"
-    return FiniteGroup(gens, cap=module.group.cap, known_order=order, name=name)
+    return affine_extension(module.group, dim, gens, order, name)
 
 
-def _parts(element, nfactors):
-    if isinstance(element, DirectElement):
-        assert len(element.parts) == nfactors
-        return element.parts
-    assert nfactors == 1
-    return (element,)
-
-
-def point_permutations(p_group: FiniteGroup, dims):
-    """Per-generator permutation of F_2^(sum dims) induced by the affine parts."""
-    total = sum(dims)
-    npoints = 1 << total
-    offsets = []
-    off = 0
-    for d in dims:
-        offsets.append(off)
-        off += d
+def point_permutations(p_group: FiniteGroup):
+    """Per-generator permutation of F_2^(sum of block dims), read off the
+    generators' F_2 blocks of points."""
+    npoints = 1 << sum(d for _, d, _ in p_group.blocks)
     perms = []
     for gen in p_group.generators:
-        parts = _parts(gen, len(dims))
+        img = images(gen)
         perm = [0] * npoints
         for x in range(npoints):
-            y = 0
-            for i, part in enumerate(parts):
-                xi = (x >> offsets[i]) & ((1 << dims[i]) - 1)
-                if not isinstance(part, SemidirectElement):
-                    raise ActionMismatch("generators must carry affine data")
-                yi = gf2.matvec(part.mat, xi) ^ part.v
-                y |= yi << offsets[i]
+            y = shift = 0
+            for off, d, _ in p_group.blocks:
+                xi = (x >> shift) & ((1 << d) - 1)
+                y |= (img[off + xi] - off) << shift
+                shift += d
             perm[x] = y
-        if sorted(perm) != list(range(npoints)):
-            raise ActionMismatch("affine data does not permute the points")
         perms.append(perm)
     return perms
 
@@ -305,35 +284,26 @@ def equivariant_lattice(model: KummerLatticeModel, p_group: FiniteGroup, flags) 
     torsors, and trivial factors must act linearly.
     """
     flags = tuple(bool(f) for f in flags)
-    first = _parts(p_group.generators[0], len(flags))
-    dims = tuple(len(part.mat) for part in first)
+    blocks = p_group.blocks
+    if len(blocks) != len(flags) or any(l != 2 for _, _, l in blocks):
+        raise ActionMismatch("generators must carry one F_2 block of affine data per factor")
+    dims = tuple(d for _, d, _ in blocks)
     if sum(dims) != 2 * model.g:
         raise ActionMismatch(
             f"factor dimensions {dims} do not fill F_2^{2 * model.g}"
         )
-    for gen in p_group.generators:
-        for i, part in enumerate(_parts(gen, len(flags))):
-            if not flags[i] and part.v:
+    parts = [[affine(gen, b) for b in blocks] for gen in p_group.generators]
+    for gen_parts in parts:
+        for i, (_, v) in enumerate(gen_parts):
+            if not flags[i] and any(v):
                 raise ActionMismatch("trivial-flag factor carries a translation")
-    perms = point_permutations(p_group, dims)
+    perms = point_permutations(p_group)
     pi1_mats = [lattice_action_matrices(model.pi1, perm) for perm in perms]
     pi_mats = [lattice_action_matrices(model.pi, perm) for perm in perms]
-    factor_modules = []
-    tau = []
-    for i, d in enumerate(dims):
-        mats = []
-        taus = []
-        for gen in p_group.generators:
-            part = _parts(gen, len(flags))[i]
-            mats.append(
-                tuple(
-                    tuple((part.mat[r] >> cidx) & 1 for cidx in range(d))
-                    for r in range(d)
-                )
-            )
-            taus.append(tuple((part.v >> b) & 1 for b in range(d)))
-        factor_modules.append(GModule(p_group, d, 2, tuple(mats)))
-        tau.append(tuple(taus))
+    factor_modules = [
+        GModule(p_group, d, 2, tuple(gp[i][0] for gp in parts)) for i, d in enumerate(dims)
+    ]
+    tau = [tuple(gp[i][1] for gp in parts) for i in range(len(dims))]
     return EquivariantModel(
         model, p_group, flags, dims, perms, pi1_mats, pi_mats, factor_modules, tau
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import fp
 from .errors import DimTooLarge, GroupMismatch, MissingCharacter
-from .groups import FiniteGroup, Perm, alternating_group, symmetric_group
+from .groups import FiniteGroup, alternating_group, images, symmetric_group
 
 SPIN_DIM_BOUND = 24
 
@@ -27,6 +27,7 @@ class GModule:
     generator_matrices: tuple
     character: tuple | None = None
     _validated: bool = field(default=False, repr=False, compare=False)
+    _z1_rows: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.generator_matrices = tuple(
@@ -52,13 +53,13 @@ class GModule:
 
 def permutation_module(group: FiniteGroup, l: int = 2) -> GModule:
     """F_l^n permuted the way the generators permute {0..n-1}."""
-    n = len(group.generators[0].images)
+    n = group.degree
     mats = []
     for s in group.generators:
-        assert isinstance(s, Perm)
+        img = images(s)
         m = [[0] * n for _ in range(n)]
         for x in range(n):
-            m[s.images[x]][x] = 1
+            m[img[x]][x] = 1
         mats.append(m)
     return GModule(group, n, l, tuple(mats))
 
@@ -69,16 +70,17 @@ def trivial_module(group: FiniteGroup, dim: int = 1, l: int = 2) -> GModule:
 
 
 def zero_sum_module(group: FiniteGroup, d: int) -> GModule:
-    """Zero-sum subspace of the permutation module F_2^d of a group of Perms.
+    """Zero-sum subspace of the permutation module F_2^d of a group on d points.
 
     Basis: u_i = e_i + e_{d-1} for i < d-1, so u_{d-1} reads as 0.
     """
     mats = []
     for s in group.generators:
-        assert isinstance(s, Perm) and len(s.images) == d
+        assert len(s) == d
+        img = images(s)
         m = [[0] * (d - 1) for _ in range(d - 1)]
         for i in range(d - 1):
-            for target in (s.images[i], s.images[d - 1]):
+            for target in (img[i], img[d - 1]):
                 if target != d - 1:
                     m[target][i] ^= 1
         mats.append(m)

@@ -124,17 +124,17 @@ def brute_force_h1(group, gen_mats, dim, l):
                     row[yi * dim + cidx] = (row[yi * dim + cidx] - mx[r][cidx]) % l
             rows.append(row)
 
-    index = {e.key(): i for i, e in enumerate(els)}
+    index = {e: i for i, e in enumerate(els)}
     if n * n * dim <= 2500:
         pairs = ((x, y) for x in range(n) for y in range(n))
     else:
         # constraints over (x, generator) pairs pin down the same space
-        pairs = ((x, index[g.key()]) for x in range(n) for g in group.generators)
+        pairs = ((x, index[g]) for x in range(n) for g in group.generators)
     for xi, yi in pairs:
-        z = els[xi] * els[yi]
-        add_constraint(xi, yi, index[z.key()])
+        z = compose_stored(els[xi], els[yi])
+        add_constraint(xi, yi, index[z])
     # identity normalisation c(e) = 0
-    eid = index[group.identity().key()]
+    eid = index[group.identity()]
     for r in range(dim):
         row = [0] * nunk
         row[eid * dim + r] = 1
@@ -158,8 +158,8 @@ def brute_force_h1(group, gen_mats, dim, l):
 def _element_matrices(group, gen_mats, dim, l):
     mats = [None] * group.order()
     idmat = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    index = {e.key(): i for i, e in enumerate(group.elements)}
-    mats[index[group.identity().key()]] = idmat
+    index = {e: i for i, e in enumerate(group.elements)}
+    mats[index[group.identity()]] = idmat
     k = len(group.generators)
     for xi in range(group.order()):
         mx = mats[xi]
@@ -200,3 +200,140 @@ def _modp_rank(rows, p):
         if rank == len(rows):
             break
     return rank
+
+
+# ---------------------------------------------------------------------------
+# naive group elements: the engine's former element types, kept as the oracle
+# for its bytes-encoded permutations
+
+
+def compose_stored(x, y):
+    """Product x * y of two engine elements, each stored as the bytes of its
+    inverse permutation: (x y)^-1 = y^-1 x^-1, composed index by index."""
+    return bytes(y[x[i]] for i in range(len(x)))
+
+
+class Perm:
+    """Permutation of {0..n-1}, stored as the tuple of images."""
+
+    def __init__(self, images):
+        self.images = tuple(images)
+
+    @classmethod
+    def identity(cls, n):
+        return cls(range(n))
+
+    @classmethod
+    def from_cycles(cls, n, cycles):
+        img = list(range(n))
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                img[a] = b
+        return cls(img)
+
+    def __mul__(self, other):
+        # (self * other)(x) = self(other(x))
+        return Perm(self.images[y] for y in other.images)
+
+    def key(self):
+        return ("p", self.images)
+
+    def __eq__(self, other):
+        return self.key() == other.key()
+
+
+class FpMat:
+    """Invertible square matrix over F_p (column vectors, left action)."""
+
+    def __init__(self, p, rows):
+        self.p = p
+        self.rows = tuple(tuple(x % p for x in r) for r in rows)
+
+    @classmethod
+    def identity(cls, p, n):
+        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def __mul__(self, other):
+        cols = list(zip(*other.rows))
+        return FpMat(
+            self.p,
+            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
+        )
+
+    def inverse(self):
+        """The last power before the identity (the group is finite)."""
+        one = FpMat.identity(self.p, len(self.rows))
+        prev, power = one, self
+        while power != one:
+            prev, power = power, power * self
+        return prev
+
+    def key(self):
+        return ("m", self.p, self.rows)
+
+    def __eq__(self, other):
+        return self.key() == other.key()
+
+
+def _bit_matvec(rows, v):
+    """0/1 matrix rows times a packed F_2 column vector."""
+    return sum((sum(a & (v >> c) for c, a in enumerate(row)) & 1) << r for r, row in enumerate(rows))
+
+
+def _bit_matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[r][t] & b[t][c] for t in range(n)) & 1 for c in range(n)) for r in range(n)
+    )
+
+
+class SemidirectElement:
+    """Pair (v, g) in V x| G with V = F_2^dim, mat the 0/1 action rows of g:
+    (v1, g1) (v2, g2) = (v1 + g1.v2, g1 g2)."""
+
+    def __init__(self, v, g, mat):
+        self.v = v
+        self.g = g
+        self.mat = tuple(tuple(r) for r in mat)
+
+    def __mul__(self, other):
+        return SemidirectElement(
+            self.v ^ _bit_matvec(self.mat, other.v), self.g * other.g, _bit_matmul(self.mat, other.mat)
+        )
+
+    def key(self):
+        return ("sd", self.v, self.g.key())
+
+
+class DirectElement:
+    """Tuple of factor elements with componentwise multiplication."""
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def __mul__(self, other):
+        return DirectElement(a * b for a, b in zip(self.parts, other.parts))
+
+    def key(self):
+        return ("x",) + tuple(a.key() for a in self.parts)
+
+
+def oracle_bfs(generators, identity):
+    """Cayley BFS over naive elements: (element keys, edges, parents) in the
+    engine's layout, edges[i*k + j] = index of elements[i] * generators[j]."""
+    elements = [identity]
+    index = {identity.key(): 0}
+    edges = []
+    parents = [-1]
+    k = len(generators)
+    i = 0
+    while i < len(elements):
+        for j, s in enumerate(generators):
+            y = elements[i] * s
+            yi = index.setdefault(y.key(), len(elements))
+            if yi == len(elements):
+                elements.append(y)
+                parents.append(i * k + j)
+            edges.append(yi)
+        i += 1
+    return [e.key() for e in elements], edges, parents

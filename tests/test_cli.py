@@ -113,3 +113,19 @@ def test_cli_as_subprocess(tmp_path):
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["conclusions"]["picard_rank"]["value"] == 17
+
+
+def test_reports_identical_under_optimize_flag():
+    # python -O strips assert statements; no verdict may depend on them
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    for args in (["--input", str(CASES / "example1.json")], ["--audit", "example1"]):
+        reports = []
+        for flags in ([], ["-O"]):
+            out = subprocess.run(
+                [sys.executable, *flags, "-m", "kummer.cli", *args],
+                capture_output=True,
+                env=env,
+            )
+            assert out.returncode == 0, out.stderr
+            reports.append(out.stdout)
+        assert reports[0] == reports[1], args

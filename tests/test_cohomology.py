@@ -12,8 +12,9 @@ from kummer.cohomology import (
 from kummer.errors import EngineError
 from kummer.groups import (
     FiniteGroup,
-    Perm,
+    affine,
     alternating_group,
+    from_cycles,
     semidirect,
     symmetric_group,
 )
@@ -66,7 +67,7 @@ def test_shapiro_cross_check():
 def test_h1_independent_of_generating_set():
     g1 = symmetric_group(5)
     g2 = FiniteGroup(
-        [Perm.from_cycles(5, [(0, 4)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])],
+        [from_cycles(5, [(0, 4)]), from_cycles(5, [(0, 1, 2, 3, 4)])],
         name="S5'",
     )
     assert g2.order() == 120
@@ -105,8 +106,7 @@ def test_cocycle_class_detection():
     pm = GModule(p, 4, 2, tuple(mats))
     tau = []
     for s in p.generators:
-        v = s.v
-        tau.append(tuple((v >> i) & 1 for i in range(4)))
+        tau.append(affine(s, p.blocks[0])[1])
     assert is_cocycle(pm, tau)
     assert cocycle_class_is_nonzero(pm, tau) is True
     # a coboundary has zero class
@@ -139,13 +139,13 @@ def _random_small_group_module(rng):
     if kind == 4:
         # dihedral group of order 8 on 4 points
         g = FiniteGroup(
-            [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 2)])],
+            [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)])],
             name="D4",
         )
         return permutation_module(g, 2)
     if kind == 5:
         # cyclic C6 over F_3
-        g = FiniteGroup([Perm.from_cycles(6, [(0, 1, 2, 3, 4, 5)])], name="C6")
+        g = FiniteGroup([from_cycles(6, [(0, 1, 2, 3, 4, 5)])], name="C6")
         return permutation_module(g, 3)
     g = symmetric_group(3)
     return permutation_module(g, 3)
@@ -178,3 +178,35 @@ def test_character_consistency_enforced():
     bad = with_character(trivial_module(symmetric_group(5), 1, 3), [1, 2])
     with pytest.raises(EngineError):
         validate_module(bad)
+
+
+def test_cocycle_class_reuses_the_h1_harvest(monkeypatch):
+    from kummer import cohomology
+
+    m = standard_module(5, "S")
+    p = semidirect(4, m.group, m)
+    eye = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
+    pm = GModule(p, 4, 2, tuple([eye] * 4 + list(m.generator_matrices)))
+    tau = [affine(s, p.blocks[0])[1] for s in p.generators]
+    w = (1, 0, 1, 0)  # the coboundary s -> s.w - w
+    cob = [
+        tuple((sum(a * b for a, b in zip(row, w)) - w[i]) % 2 for i, row in enumerate(mat))
+        for mat in pm.generator_matrices
+    ]
+    calls = []
+    real = cohomology._harvest_constraints_f2
+
+    def counting(mod, validate):
+        calls.append(validate)
+        return real(mod, validate)
+
+    monkeypatch.setattr(cohomology, "_harvest_constraints_f2", counting)
+    assert h1(pm).h1_dim == 1
+    assert len(calls) == 1
+    assert cocycle_class_is_nonzero(pm, tau) is True
+    assert cocycle_class_is_nonzero(pm, cob) is False
+    not_a_cocycle = list(tau)
+    not_a_cocycle[4] = (1, 0, 0, 0)
+    with pytest.raises(EngineError):
+        cocycle_class_is_nonzero(pm, not_a_cocycle)
+    assert len(calls) == 1

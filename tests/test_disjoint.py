@@ -87,7 +87,7 @@ def test_goursat_oracle_a5_a7_no_common_quotient():
 
 
 def _cycle_type_of(perm):
-    n = len(perm.images)
+    n = len(perm)
     seen = [False] * n
     out = []
     for i in range(n):
@@ -96,7 +96,7 @@ def _cycle_type_of(perm):
         j, ln = i, 0
         while not seen[j]:
             seen[j] = True
-            j = perm.images[j]
+            j = perm[j]
             ln += 1
         out.append(ln)
     return tuple(sorted(out))

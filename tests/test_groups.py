@@ -1,20 +1,27 @@
 import pytest
 
-from kummer.errors import CapExceeded, DimensionMismatch
+from kummer.errors import CapExceeded, DimensionMismatch, GroupCheckFailed
 from kummer.groups import (
     FiniteGroup,
-    FpMat,
-    Perm,
+    affine,
     alternating_group,
     direct_product,
+    from_cycles,
     general_symplectic_group,
     group_order_formula,
     has_index_l_normal_subgroup,
+    images,
     semidirect,
     symmetric_group,
     symplectic_group,
     transvection,
 )
+
+from oracles import DirectElement as ODirect
+from oracles import FpMat
+from oracles import Perm as OPerm
+from oracles import SemidirectElement as OSemidirect
+from oracles import oracle_bfs
 
 
 def standard_action_mats(d):
@@ -47,20 +54,20 @@ def test_sp4_f3_formula():
 def test_enumeration_deterministic():
     def build():
         return FiniteGroup(
-            [Perm.from_cycles(5, [(0, 1)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])]
+            [from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])]
         ).enumerate()
 
     g1, g2 = build(), build()
-    assert [e.key() for e in g1.elements] == [e.key() for e in g2.elements]
+    assert g1.elements == g2.elements
     assert g1.edges == g2.edges
     assert g1.parents == g2.parents
 
 
 def test_enumeration_generator_order_invariant():
-    g1 = FiniteGroup([Perm.from_cycles(5, [(0, 1)]), Perm.from_cycles(5, [(0, 1, 2, 3, 4)])])
-    g2 = FiniteGroup([Perm.from_cycles(5, [(0, 1, 2, 3, 4)]), Perm.from_cycles(5, [(0, 1)])])
-    s1 = {e.key() for e in g1.enumerate().elements}
-    s2 = {e.key() for e in g2.enumerate().elements}
+    g1 = FiniteGroup([from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])])
+    g2 = FiniteGroup([from_cycles(5, [(0, 1, 2, 3, 4)]), from_cycles(5, [(0, 1)])])
+    s1 = set(g1.enumerate().elements)
+    s2 = set(g2.enumerate().elements)
     assert s1 == s2
 
 
@@ -139,3 +146,121 @@ def test_fpmat_inverse():
 def test_direct_product_order():
     g = direct_product(symmetric_group(3), symmetric_group(4))
     assert g.order() == 6 * 24
+
+
+def test_soundness_checks_raise_typed_errors():
+    from kummer.groups import _check_form, symplectic_form
+
+    with pytest.raises(GroupCheckFailed):
+        FiniteGroup([])
+    with pytest.raises(GroupCheckFailed):
+        FiniteGroup([from_cycles(3, [(0, 1)]), from_cycles(4, [(0, 1)])])
+    with pytest.raises(GroupCheckFailed):
+        FiniteGroup(symmetric_group(4).generators, known_order=12).enumerate()
+    scale = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(GroupCheckFailed):
+        _check_form(scale, symplectic_form(4), 3, 1)
+
+
+def test_more_than_256_points_fails_closed_at_enumerate():
+    # 2^8 x| S_3 has order 1536, far below the cap, but needs 256 + 3 points
+    s3 = symmetric_group(3)
+    eye = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
+    g = semidirect(8, s3, [eye] * len(s3.generators))
+    assert g.degree == 259 and g.known_order == 1536
+    with pytest.raises(CapExceeded):
+        g.enumerate()
+
+
+# differential checks against the naive element types in tests/oracles.py:
+# same elements in the same BFS order, same Cayley edges, same BFS tree
+
+
+def _assert_bfs_matches(group, oracle_gens, oracle_identity, key_of):
+    keys, edges, parents = oracle_bfs(oracle_gens, oracle_identity)
+    group.enumerate()
+    assert [key_of(x) for x in group.elements] == keys
+    assert group.edges == edges
+    assert group.parents == parents
+
+
+def _perm_key(x, off=0, n=None):
+    img = images(x)[off : off + n if n else None]
+    return ("p", tuple(y - off for y in img))
+
+
+def _affine_key(x, dim, gdeg, off=0):
+    # V's 2^dim points, then the acting group's gdeg points
+    _, v = affine(x, (off, dim, 2))
+    packed = sum(b << i for i, b in enumerate(v))
+    return ("sd", packed, _perm_key(x, off + (1 << dim), gdeg))
+
+
+def _oracle_affine_gens(mod, translations, cocycle=None):
+    ident = OPerm.identity(mod.group.degree)
+    eye = [[1 if i == j else 0 for j in range(mod.dim)] for i in range(mod.dim)]
+    gens = [OSemidirect(1 << i, ident, eye) for i in range(translations)]
+    for j, s in enumerate(mod.group.generators):
+        c = cocycle[j] if cocycle else (0,) * mod.dim
+        packed = sum(b << i for i, b in enumerate(c))
+        gens.append(OSemidirect(packed, OPerm(images(s)), mod.generator_matrices[j]))
+    return gens
+
+
+def test_oracle_bfs_symmetric_and_alternating():
+    s5 = [OPerm.from_cycles(5, [(0, 1)]), OPerm.from_cycles(5, [(0, 1, 2, 3, 4)])]
+    _assert_bfs_matches(symmetric_group(5), s5, OPerm.identity(5), _perm_key)
+    a7 = [OPerm.from_cycles(7, [(0, 1, 2)]), OPerm.from_cycles(7, [tuple(range(7))])]
+    _assert_bfs_matches(alternating_group(7), a7, OPerm.identity(7), _perm_key)
+
+
+def test_oracle_bfs_sp4_f2_on_16_points():
+    from kummer.groups import _SP4_DIRECTIONS
+
+    g = symplectic_group(4, 2)
+    assert g.degree == 16
+    gens = [FpMat(2, transvection(v, 2, 4)) for v in _SP4_DIRECTIONS]
+    _assert_bfs_matches(
+        g, gens, FpMat.identity(2, 4), lambda x: ("m", 2, affine(x, g.blocks[0])[0])
+    )
+    assert g.order() == 720
+
+
+def test_oracle_bfs_semidirect_plain_twisted_and_linear_lift():
+    from kummer.picard import torsor_factor_group
+    from kummer.reps import standard_module
+
+    m = standard_module(5, "S")
+    ident = OSemidirect(0, OPerm.identity(5), [[int(i == j) for j in range(4)] for i in range(4)])
+
+    def key(x):
+        return _affine_key(x, 4, 5)
+
+    _assert_bfs_matches(semidirect(4, m.group, m), _oracle_affine_gens(m, 4), ident, key)
+    twist = [(1, 0, 1, 0), (0, 1, 1, 0)]
+    twisted = torsor_factor_group(m, True, cocycle=twist)
+    _assert_bfs_matches(twisted, _oracle_affine_gens(m, 1, twist), ident, key)
+    assert twisted.order() == 1920
+    lift = torsor_factor_group(m, False)
+    _assert_bfs_matches(lift, _oracle_affine_gens(m, 0), ident, key)
+    assert lift.order() == 120
+
+
+def test_oracle_bfs_two_factor_direct_product():
+    from kummer.picard import torsor_factor_group
+    from kummer.reps import standard_module
+
+    m = standard_module(3, "S")
+    g = direct_product(torsor_factor_group(m, True), symmetric_group(4))
+    assert g.blocks == ((0, 2, 2),)
+    eye = [[1, 0], [0, 1]]
+    pad = OPerm.identity(4)
+    gens = [ODirect([a, pad]) for a in _oracle_affine_gens(m, 1)]
+    lin = OSemidirect(0, OPerm.identity(3), eye)
+    s4 = [OPerm.from_cycles(4, [(0, 1)]), OPerm.from_cycles(4, [(0, 1, 2, 3)])]
+    gens += [ODirect([lin, b]) for b in s4]
+    ident = ODirect([lin, pad])
+    _assert_bfs_matches(
+        g, gens, ident, lambda x: ("x", _affine_key(x, 2, 3), _perm_key(x, 7, 4))
+    )
+    assert g.order() == 24 * 24

@@ -5,7 +5,7 @@ import pytest
 from kummer.cohomology import cocycle_class_is_nonzero, h1_dim
 from kummer.errors import ActionMismatch, GTooLarge
 from kummer.gf2 import matvec
-from kummer.groups import FiniteGroup, Perm, direct_product
+from kummer.groups import FiniteGroup, direct_product, from_cycles
 from kummer.lattice import Lattice, lattice_index, saturate
 from kummer.picard import (
     build_nikulin_lattice,
@@ -167,7 +167,7 @@ def test_equivariant_nontrivial_torsor():
 
 def test_equivariant_identity_group():
     m = build_nikulin_lattice(2)
-    triv = FiniteGroup([Perm.identity(1)], name="1")
+    triv = FiniteGroup([from_cycles(1, [])], name="1")
     mod = trivial_module(triv, 4)
     p = direct_product(torsor_factor_group(mod, False))
     eq = equivariant_lattice(m, p, [False])

@@ -2,7 +2,7 @@ import pytest
 
 from kummer.errors import GroupMismatch, MissingCharacter
 from kummer.fp import mat_vec
-from kummer.groups import FiniteGroup, Perm, symmetric_group
+from kummer.groups import FiniteGroup, from_cycles, images, symmetric_group
 from kummer.reps import (
     endomorphism_algebra_dim,
     h0,
@@ -21,7 +21,7 @@ from kummer.reps import (
 
 
 def trivial_group():
-    return FiniteGroup([Perm.identity(1)], name="1")
+    return FiniteGroup([from_cycles(1, [])], name="1")
 
 
 def test_standard_module_dims():
@@ -180,7 +180,7 @@ def test_zero_sum_action_consistency():
             full[d - 1] ^= 1
             permuted = [0] * d
             for x in range(d):
-                permuted[s.images[x]] = full[x]
+                permuted[images(s)[x]] = full[x]
             # in the u-basis a zero-sum vector's coordinates are its first d-1 entries
             u = permuted[: d - 1]
             basis_vec = [1 if t == i else 0 for t in range(d - 1)]
