@@ -5,14 +5,24 @@ unknowns along the BFS tree of the Cayley graph and harvesting one linear
 constraint per non-tree edge turns H^1 into a small F_l system (dim * #gens
 unknowns) instead of one with an unknown vector per group element.  The
 per-element brute-force solver survives only as a test oracle.
+
+The harvest first walks the image of g -> (rho(g), chi(g)), interning each
+matrix (and character value) to an index and tabulating its product with
+every generator, so rho is multiplied once per image element and generator
+rather than once per Cayley edge.  The edge walk then carries one index per
+element: a non-tree edge must close on the tabulated index, which checks on
+every relation that rho and chi are homomorphisms, on every harvest.
+Repeated constraints are dropped before the echelon, and the rows are cached
+on the module, so each module is harvested and validated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 
 from . import fp, gf2
-from .errors import EngineError
+from .errors import EngineError, GroupCheckFailed
 from .gf2 import F2Echelon
 from .reps import GModule
 
@@ -31,14 +41,10 @@ class CocycleSpace:
         assert self.h1_dim == self.z1_dim - self.b1_dim
 
 
-def h1(m: GModule, validate: bool = True) -> CocycleSpace:
-    """Cocycle space of the module; enumerates the group (CapExceeded bubbles up).
-
-    With validate=True the generator matrices are also checked to define a
-    homomorphism on every relation-closing Cayley edge.
-    """
-    m.group.enumerate()
-    z_rows, ncols = _z1_constraints(m, validate)
+def h1(m: GModule) -> CocycleSpace:
+    """Cocycle space of the module; enumerates the group (CapExceeded bubbles up)
+    and checks that the generator matrices define a homomorphism."""
+    z_rows, ncols = _z1_constraints(m)
     if m.l == 2:
         _, ker = gf2.f2_rank_kernel(gf2.F2Matrix(len(z_rows), ncols, z_rows))
         kernel_vecs = ker.rows
@@ -55,87 +61,128 @@ def h1(m: GModule, validate: bool = True) -> CocycleSpace:
     return CocycleSpace(m, z1, b1, z1 - b1, basis)
 
 
-def h1_dim(m: GModule, validate: bool = True) -> int:
-    return h1(m, validate).h1_dim
+def h1_dim(m: GModule) -> int:
+    return h1(m).h1_dim
 
 
 def validate_module(m: GModule) -> None:
     """Check the generator assignment extends to the group; raises on failure."""
-    if not m._validated:
-        _z1_constraints(m, True)
+    _z1_constraints(m)
 
 
-def _z1_constraints(m: GModule, validate: bool):
-    """(rows, ncols) of the Z^1 constraints, harvested from the Cayley graph
-    once per module and cached on it; harvested again only while validation
-    is still owed."""
-    if m._z1_rows is None or (validate and not m._validated):
+def _z1_constraints(m: GModule):
+    """(rows, ncols) of the Z^1 constraints, harvested (and validated) from
+    the Cayley graph once per module and cached on it."""
+    if m._z1_rows is None:
         harvest = _harvest_constraints_f2 if m.l == 2 else _harvest_constraints_fp
-        m._z1_rows = harvest(m, validate)
+        m._z1_rows = harvest(m)
     return m._z1_rows
 
 
-def _harvest_constraints_f2(m: GModule, validate: bool):
-    """Constraint rows for Z^1 over F_2, one block-row per non-tree edge.
+def _image_walk(m: GModule, one, times):
+    """Intern the image of g -> (rho(g), chi(g)) by BFS from (one, 1) under
+    right multiplication by the generators; times(mat, j) = mat M_j.
 
-    Unknown layout: N = dim * k bits, block j = c(s_j).  Per element x the
-    propagated c(x) is a dim x N matrix packed into one int, row i occupying
-    bits [i*N, i*N + N).  rho(x) is a tuple of dim packed rows.
+    Returns (keys, step) with step[r*k + j] the index of keys[r] times
+    generator j.  The image of a homomorphism has at most |G| elements, so a
+    larger one fails closed before the edge walk.
     """
     g = m.group.enumerate()
-    gens_rows = m.bit_rows()
-    dim = m.dim
     k = len(g.generators)
-    n_unknowns = dim * k
-    rowmask = (1 << n_unknowns) - 1
+    order = len(g.elements)
+    chi = m.character or (1,) * k
+    keys = [(one, 1)]
+    index = {keys[0]: 0}
+    step = []
+    r = 0
+    while r < len(keys):
+        mat, c = keys[r]
+        for j in range(k):
+            y = (times(mat, j), c * chi[j] % m.l)
+            yi = index.get(y)
+            if yi is None:
+                yi = len(keys)
+                if yi >= order:
+                    raise EngineError("generator matrices do not extend to the group")
+                index[y] = yi
+                keys.append(y)
+            step.append(yi)
+        r += 1
+    return keys, step
+
+
+def _distinct_rows(m: GModule, step, emb, add, sub, zero, split):
+    """Walk the Cayley graph carrying c(x) and the image index rid[x]; yield
+    each distinct nonzero row of the constraints c(x) + x.c(s_j) - c(x s_j).
+
+    A tree edge defines c(y) and rid[y]; a non-tree edge must land on
+    rid[y] = step[rid[x]*k + j], which checks rho and chi on that relation.
+    emb[r*k + j] is image element r placed in block j; split(c) gives the
+    dim rows of a packed c.  A repeated constraint or row is skipped: it
+    already lies in the span of the ones yielded.
+    """
+    g = m.group
+    k = len(g.generators)
     order = len(g.elements)
     edges = g.edges
     parents = g.parents
-
-    def embed(rho_rows, j):
-        # dim x N matrix with block j equal to rho, packed
-        acc = 0
-        shift = j * dim
-        for i, r in enumerate(rho_rows):
-            acc |= r << (i * n_unknowns + shift)
-        return acc
-
-    identity_rows = tuple(1 << i for i in range(dim))
-    rho = [None] * order
+    rid = [-1] * order
     coef = [None] * order
-    rho[0] = identity_rows
-    coef[0] = 0
-    ech = F2Echelon(n_unknowns)
-    consistent = m._validated
+    rid[0] = 0
+    coef[0] = zero
+    seen = {zero}
+    seen_rows = set(split(zero))
     for x in range(order):
-        rx = rho[x]
+        if rid[x] < 0:
+            raise GroupCheckFailed("enumeration parent bookkeeping broken")
+        r = rid[x] * k
         cx = coef[x]
         base = x * k
         for j in range(k):
             y = edges[base + j]
-            t = cx ^ embed(rx, j)
-            if rho[y] is None:
-                # tree edge: define c(y) and rho(y)
-                rho[y] = tuple(gf2.matmul_rows(rx, gens_rows[j]))
-                coef[y] = t
+            t = add(cx, emb[r + j])
+            s = step[r + j]
+            if rid[y] < 0:
                 if parents[y] != base + j:
-                    raise AssertionError("enumeration parent bookkeeping broken")
+                    raise GroupCheckFailed("enumeration parent bookkeeping broken")
+                rid[y] = s
+                coef[y] = t
+            elif rid[y] != s:
+                raise EngineError("generator matrices do not extend to the group")
             else:
-                diff = t ^ coef[y]
-                if diff:
-                    for i in range(dim):
-                        row = (diff >> (i * n_unknowns)) & rowmask
-                        if row:
-                            ech.add(row)
-                if validate and not consistent:
-                    if tuple(gf2.matmul_rows(rx, gens_rows[j])) != rho[y]:
-                        raise EngineError(
-                            "generator matrices do not extend to the group"
-                        )
-    if validate:
-        _check_character(m)
-        m._validated = True
-    return ech.basis_rows(), n_unknowns
+                diff = sub(t, coef[y])
+                if diff not in seen:
+                    seen.add(diff)
+                    for row in split(diff):
+                        if row not in seen_rows:
+                            seen_rows.add(row)
+                            yield row
+
+
+def _harvest_constraints_f2(m: GModule):
+    """Echelon basis of the Z^1 constraints over F_2.
+
+    Unknown layout: N = dim * k bits, block j = c(s_j).  Per element x the
+    propagated c(x) is a dim x N matrix packed into one int, row i occupying
+    bits [i*N, i*N + N).
+    """
+    gens_rows = m.bit_rows()
+    dim = m.dim
+    k = len(gens_rows)
+    n = dim * k
+    keys, step = _image_walk(
+        m,
+        tuple(1 << i for i in range(dim)),
+        lambda rows, j: tuple(gf2.matmul_rows(rows, gens_rows[j])),
+    )
+    emb = [sum(r << (i * n + j * dim) for i, r in enumerate(rows)) for rows, _ in keys for j in range(k)]
+    mask = (1 << n) - 1
+    ech = F2Echelon(n)
+    for row in _distinct_rows(
+        m, step, emb, xor, xor, 0, lambda c: ((c >> (i * n)) & mask for i in range(dim))
+    ):
+        ech.add(row)
+    return ech.basis_rows(), n
 
 
 def _coboundary_rows_f2(m: GModule):
@@ -173,78 +220,33 @@ def _pack_cocycle_f2(values, m: GModule):
     return acc
 
 
-def _harvest_constraints_fp(m: GModule, validate: bool):
-    """Generic-prime version of the constraint harvest (small groups only)."""
-    g = m.group.enumerate()
-    l = m.l
-    dim = m.dim
-    k = len(g.generators)
-    n_unknowns = dim * k
-    order = len(g.elements)
-    edges = g.edges
+def _harvest_constraints_fp(m: GModule):
+    """Distinct nonzero Z^1 constraint rows over F_p in first-seen order, by
+    the same walks; c(x) is one flat tuple of its dim rows."""
+    l, dim = m.l, m.dim
     mats = m.generator_matrices
-
-    def embed(rho_mat, j):
-        out = [[0] * n_unknowns for _ in range(dim)]
-        for i in range(dim):
-            for c in range(dim):
-                out[i][j * dim + c] = rho_mat[i][c]
-        return out
-
-    rho = [None] * order
-    coef = [None] * order
-    rho[0] = fp.identity(dim)
-    coef[0] = [[0] * n_unknowns for _ in range(dim)]
-    rows = []
-    for x in range(order):
-        rx = rho[x]
-        cx = coef[x]
-        base = x * k
-        for j in range(k):
-            y = edges[base + j]
-            emb = embed(rx, j)
-            t = [
-                [(cx[i][c] + emb[i][c]) % l for c in range(n_unknowns)]
-                for i in range(dim)
-            ]
-            if rho[y] is None:
-                rho[y] = fp.mat_mul(rx, [list(r) for r in mats[j]], l)
-                coef[y] = t
-            else:
-                cy = coef[y]
-                for i in range(dim):
-                    row = [(t[i][c] - cy[i][c]) % l for c in range(n_unknowns)]
-                    if any(row):
-                        rows.append(row)
-                if validate and not m._validated:
-                    if fp.mat_mul(rx, [list(r) for r in mats[j]], l) != rho[y]:
-                        raise EngineError(
-                            "generator matrices do not extend to the group"
-                        )
-    if validate:
-        _check_character(m)
-        m._validated = True
-    return rows, n_unknowns
-
-
-def _check_character(m: GModule):
-    """Characters are rank-one modules; validate on relation-closing edges."""
-    if m.character is None:
-        return
-    g = m.group
-    l = m.l
-    k = len(g.generators)
-    vals = [None] * len(g.elements)
-    vals[0] = 1
-    for x in range(len(g.elements)):
-        vx = vals[x]
-        for j in range(k):
-            y = g.edges[x * k + j]
-            w = (vx * m.character[j]) % l
-            if vals[y] is None:
-                vals[y] = w
-            elif vals[y] != w:
-                raise EngineError("character is inconsistent on a Cayley relation")
+    k = len(mats)
+    n = dim * k
+    keys, step = _image_walk(
+        m,
+        tuple(map(tuple, fp.identity(dim))),
+        lambda mat, j: tuple(map(tuple, fp.mat_mul(mat, mats[j], l))),
+    )
+    emb = [
+        tuple(mat[i][c - j * dim] if 0 <= c - j * dim < dim else 0 for i in range(dim) for c in range(n))
+        for mat, _ in keys
+        for j in range(k)
+    ]
+    rows = _distinct_rows(
+        m,
+        step,
+        emb,
+        lambda a, b: tuple((x + y) % l for x, y in zip(a, b)),
+        lambda a, b: tuple((x - y) % l for x, y in zip(a, b)),
+        (0,) * (dim * n),
+        lambda c: (c[i * n : i * n + n] for i in range(dim)),
+    )
+    return list(rows), n
 
 
 def _coboundary_rows_fp(m: GModule):
@@ -274,7 +276,7 @@ def is_cocycle(m: GModule, values) -> bool:
 
 
 def _satisfies_constraints(m: GModule, values) -> bool:
-    rows, _ = _z1_constraints(m, False)
+    rows, _ = _z1_constraints(m)
     if m.l == 2:
         packed = _pack_cocycle_f2(values, m)
         return all((row & packed).bit_count() % 2 == 0 for row in rows)

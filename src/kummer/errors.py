@@ -67,3 +67,7 @@ class InputError(EngineError):
 
 class GroupCheckFailed(EngineError):
     """A group construction or enumeration failed a soundness check."""
+
+
+class GaloisCheckFailed(EngineError):
+    """Galois certification met contradictory evidence (a soundness check failed)."""

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadPrime, EvenDegree, Inseparable, ZeroInput
+from .errors import BadPrime, EvenDegree, GaloisCheckFailed, Inseparable, ZeroInput
 from .smith import bareiss_det
 
 
@@ -354,7 +354,7 @@ def certify_galois(f: IntPolynomial, prime_bound: int = 1000) -> GaloisCertifica
             witnesses.append(jordan)
         if odd_wit is None and _is_odd_type(t, d):
             if square:
-                raise AssertionError(
+                raise GaloisCheckFailed(
                     "square discriminant with an odd Frobenius cycle type"
                 )
             odd_wit = (p, t, "odd-permutation")

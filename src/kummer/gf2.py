@@ -42,12 +42,6 @@ class F2Matrix:
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    def to_lists(self):
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
-
-    def row(self, i: int) -> int:
-        return self.rows[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, F2Matrix)

@@ -261,7 +261,6 @@ class EquivariantModel:
     dims: tuple
     point_perms: list
     pi1_matrices: list
-    pi_matrices: list
     factor_modules: list  # GModule of the product group on each V_i
     tau_cocycles: list  # per factor: tuple over generators of F_2 vectors
 
@@ -299,11 +298,10 @@ def equivariant_lattice(model: KummerLatticeModel, p_group: FiniteGroup, flags) 
                 raise ActionMismatch("trivial-flag factor carries a translation")
     perms = point_permutations(p_group)
     pi1_mats = [lattice_action_matrices(model.pi1, perm) for perm in perms]
-    pi_mats = [lattice_action_matrices(model.pi, perm) for perm in perms]
     factor_modules = [
         GModule(p_group, d, 2, tuple(gp[i][0] for gp in parts)) for i, d in enumerate(dims)
     ]
     tau = [tuple(gp[i][1] for gp in parts) for i in range(len(dims))]
     return EquivariantModel(
-        model, p_group, flags, dims, perms, pi1_mats, pi_mats, factor_modules, tau
+        model, p_group, flags, dims, perms, pi1_mats, factor_modules, tau
     )

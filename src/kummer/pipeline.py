@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cohomology import cocycle_class_is_nonzero, h1_dim, validate_module
 from .disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
-from .errors import EngineError, FactorBudgetExceeded, InputError
+from .errors import EngineError, FactorBudgetExceeded, GroupCheckFailed, InputError
 from .galois import IntPolynomial, certify_galois
 from .groups import (
     affine,
@@ -547,13 +547,11 @@ def audit_example_2_goursat() -> dict:
 
 
 def _two_rank(order, kernel_order):
-    idx = order // kernel_order
-    r = 0
-    while idx % 2 == 0:
-        idx //= 2
-        r += 1
-    assert idx == 1
-    return r
+    """r with order / kernel_order = 2^r; any other index fails closed."""
+    idx, rem = divmod(order, kernel_order)
+    if rem or idx < 1 or idx & (idx - 1):
+        raise GroupCheckFailed(f"index {order}/{kernel_order} is not a power of 2")
+    return idx.bit_length() - 1
 
 
 def audit_example_3_desk() -> dict:

@@ -26,7 +26,6 @@ class GModule:
     l: int
     generator_matrices: tuple
     character: tuple | None = None
-    _validated: bool = field(default=False, repr=False, compare=False)
     _z1_rows: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -41,6 +40,11 @@ class GModule:
             self.character = tuple(x % self.l for x in self.character)
             assert len(self.character) == len(self.group.generators)
             assert all(x % self.l for x in self.character), "character values must be units"
+
+    @property
+    def _validated(self) -> bool:
+        """Z^1 rows are cached only by a harvest that validated the module."""
+        return self._z1_rows is not None
 
     def bit_rows(self):
         """Packed-row form of the generator matrices (F_2 modules only)."""

@@ -118,7 +118,11 @@ def test_cli_as_subprocess(tmp_path):
 def test_reports_identical_under_optimize_flag():
     # python -O strips assert statements; no verdict may depend on them
     env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
-    for args in (["--input", str(CASES / "example1.json")], ["--audit", "example1"]):
+    for args in (
+        ["--input", str(CASES / "example1.json")],
+        ["--audit", "example1"],
+        ["--audit", "example3"],
+    ):
         reports = []
         for flags in ([], ["-O"]):
             out = subprocess.run(

@@ -196,9 +196,9 @@ def test_cocycle_class_reuses_the_h1_harvest(monkeypatch):
     calls = []
     real = cohomology._harvest_constraints_f2
 
-    def counting(mod, validate):
-        calls.append(validate)
-        return real(mod, validate)
+    def counting(mod):
+        calls.append(mod)
+        return real(mod)
 
     monkeypatch.setattr(cohomology, "_harvest_constraints_f2", counting)
     assert h1(pm).h1_dim == 1
@@ -210,3 +210,100 @@ def test_cocycle_class_reuses_the_h1_harvest(monkeypatch):
     with pytest.raises(EngineError):
         cocycle_class_is_nonzero(pm, not_a_cocycle)
     assert len(calls) == 1
+
+
+def _linear_part_module(p):
+    """The module of an affine group p on its single block: each generator
+    acts by its linear part, so the action factors through the base group."""
+    block = p.blocks[0]
+    return GModule(p, block[1], 2, tuple(affine(s, block)[0] for s in p.generators))
+
+
+def _oracle_case_modules():
+    from kummer.picard import torsor_factor_group
+    from kummer.reps import product_factor_module, with_character
+
+    s5 = standard_module(5, "S")
+    twisted = torsor_factor_group(s5, True, cocycle=[(1, 0, 1, 0), (0, 1, 1, 0)])
+    return [
+        s5,
+        standard_module(5, "A"),
+        permutation_module(symmetric_group(4), 3),
+        with_character(trivial_module(symmetric_group(5), 1, 3), [2, 1]),
+        _linear_part_module(twisted),
+        product_factor_module([standard_module(5, "S"), standard_module(3, "S")]),
+    ]
+
+
+def _fresh(m):
+    return GModule(m.group, m.dim, m.l, m.generator_matrices, m.character)
+
+
+def test_harvest_matches_per_edge_oracle(monkeypatch):
+    from kummer import cohomology
+
+    from oracles import per_edge_harvest_f2, per_edge_harvest_fp
+
+    for m in _oracle_case_modules():
+        space = h1(m)
+        if m.l == 2:
+            expected = per_edge_harvest_f2(_fresh(m))
+        else:
+            rows, ncols = per_edge_harvest_fp(_fresh(m))
+            # the engine keeps each distinct row once, in first-seen order
+            expected = (list(dict.fromkeys(tuple(r) for r in rows)), ncols)
+        assert m._z1_rows == expected, m.group.name
+        with monkeypatch.context() as mp:
+            mp.setattr(cohomology, "_harvest_constraints_f2", per_edge_harvest_f2)
+            mp.setattr(cohomology, "_harvest_constraints_fp", per_edge_harvest_fp)
+            oracle_space = h1(_fresh(m))
+        assert (space.z1_dim, space.b1_dim, space.cocycle_basis) == (
+            oracle_space.z1_dim,
+            oracle_space.b1_dim,
+            oracle_space.cocycle_basis,
+        ), m.group.name
+
+
+def _count_matmul_rows(monkeypatch):
+    """List that gains one entry per gf2.matmul_rows call."""
+    from kummer import gf2
+
+    calls = []
+    real = gf2.matmul_rows
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(gf2, "matmul_rows", counting)
+    return calls
+
+
+def test_harvest_multiplies_once_per_image_element_and_generator(monkeypatch):
+    m = standard_module(5, "S")
+    pm = _linear_part_module(semidirect(4, m.group, m))
+    k = len(pm.group.generators)
+    calls = _count_matmul_rows(monkeypatch)
+    assert h1_dim(pm) == 1
+    assert pm.group.order() == 1920
+    assert 0 < len(calls) <= 120 * k
+
+
+def test_is_cocycle_validates_before_answering():
+    g = symmetric_group(3)
+    bad = GModule(g, 2, 2, (((1, 0), (0, 1)), ((1, 1), (0, 1))))
+    with pytest.raises(EngineError):
+        is_cocycle(bad, [(0, 0), (0, 0)])
+    assert bad._z1_rows is None
+
+
+def test_image_larger_than_the_group_fails_closed(monkeypatch):
+    # two transvections generating SL(2, F_2) = S_3, assigned to the two
+    # generators of Z/2 x Z/2: the image (6 matrices) outgrows the group (4),
+    # and the image walk stops there instead of closing it
+    g = FiniteGroup([from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])], name="V4")
+    bad = GModule(g, 2, 2, (((1, 1), (0, 1)), ((1, 0), (1, 1))))
+    calls = _count_matmul_rows(monkeypatch)
+    with pytest.raises(EngineError):
+        h1(bad)
+    assert len(calls) < 4 * 2

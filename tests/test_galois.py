@@ -195,3 +195,25 @@ def test_primality_and_rho():
 def test_soundness_unknown_when_bound_tiny():
     cert = certify_galois(X5, 2)
     assert cert.verdict == "Unknown"
+
+
+def test_square_discriminant_with_odd_cycle_type_is_an_engine_error(monkeypatch, tmp_path, capsys):
+    import json
+
+    from kummer import galois
+    from kummer.cli import main
+    from kummer.errors import EngineError
+
+    # x^3 - 2 has Galois group S_3, and its first unramified prime 5 gives
+    # the odd cycle type (1, 2), which contradicts a square discriminant
+    cubic = IntPolynomial((-2, 0, 0, 1))
+    assert cycle_type_mod_p(cubic, 5) == (1, 2)
+    monkeypatch.setattr(galois, "disc_is_square", lambda n: True)
+    with pytest.raises(EngineError):
+        certify_galois(cubic, 50)
+    case = tmp_path / "cubic.json"
+    factors = [{"poly": ["-2", "0", "0", "1"]}, {"poly": ["1", "-1", "0", "0", "0", "1"]}]
+    case.write_text(json.dumps({"factors": factors, "prime_bound": 50}))
+    assert main(["--input", str(case), "--report", str(tmp_path / "out.json")]) == 1
+    assert not (tmp_path / "out.json").exists()
+    assert "engine error: square discriminant" in capsys.readouterr().err

@@ -1,11 +1,12 @@
 import pytest
 
-from kummer.errors import InputError
+from kummer.errors import GroupCheckFailed, InputError
 from kummer.galois import IntPolynomial
 from kummer.pipeline import (
     HYPOTHESIS_CHECKS,
     CaseInput,
     FactorInput,
+    _two_rank,
     parse_case,
     run_case,
 )
@@ -188,3 +189,12 @@ def test_degree3_alternating_rejected():
     rep = run_case(case)
     assert not rep.asserted
     assert "galois_certification" in rep.conclusions["withheld_because"]
+
+
+def test_two_rank_fails_closed_on_a_non_two_power_index():
+    assert _two_rank(8, 2) == 2
+    assert _two_rank(5, 5) == 0
+    with pytest.raises(GroupCheckFailed):
+        _two_rank(12, 2)
+    with pytest.raises(GroupCheckFailed):
+        _two_rank(12, 5)
