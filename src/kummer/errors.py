@@ -71,3 +71,7 @@ class GroupCheckFailed(EngineError):
 
 class GaloisCheckFailed(EngineError):
     """Galois certification met contradictory evidence (a soundness check failed)."""
+
+
+class LatticeCheckFailed(EngineError):
+    """A lattice construction or an index failed a soundness check."""

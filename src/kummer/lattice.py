@@ -1,7 +1,9 @@
 """Lattices in (1/D) * Z^n with integer-only kernels.
 
 A lattice is stored as an integer basis plus an explicit denominator, so the
-Smith/Hermite machinery never sees a rational number.
+Smith/Hermite machinery never sees a rational number.  The basis is in
+canonical Hermite form, so membership is back-substitution down its pivots
+and the index of a sublattice of equal rank is a ratio of pivot products.
 """
 
 from __future__ import annotations
@@ -9,8 +11,9 @@ from __future__ import annotations
 import math
 from math import gcd
 
-from .errors import NotASublattice
-from .smith import RowSolver, ZMatrix, _snf, hermite_rows
+from . import gf2
+from .errors import DimensionMismatch, LatticeCheckFailed, NotASublattice
+from .smith import ZMatrix, _snf, hermite_rows
 
 
 class Lattice:
@@ -21,7 +24,7 @@ class Lattice:
     is minimal.
     """
 
-    __slots__ = ("ambient_dim", "basis", "den", "_solver")
+    __slots__ = ("ambient_dim", "basis", "den", "_steps", "_free")
 
     def __init__(self, ambient_dim, basis_rows, den=1, _canonical=False):
         assert den > 0
@@ -44,11 +47,39 @@ class Lattice:
         self.ambient_dim = ambient_dim
         self.basis = tuple(tuple(r) for r in rows)
         self.den = den
-        self._solver = None
+        # per basis row: (pivot column, pivot, nonzero entries right of it)
+        steps = []
+        for r in rows:
+            col = next(j for j, x in enumerate(r) if x)
+            steps.append((col, r[col], tuple((j, r[j]) for j in range(col + 1, ambient_dim) if r[j])))
+        self._steps = tuple(steps)
+        pivot_cols = {col for col, _, _ in steps}
+        self._free = tuple(j for j in range(ambient_dim) if j not in pivot_cols)
 
     @classmethod
     def from_generators(cls, ambient_dim, rows, den=1):
         return cls(ambient_dim, rows, den)
+
+    @classmethod
+    def from_f2_rows(cls, ambient_dim, packed_rows, den):
+        """(1/den) M for the M with 2 Z^n <= M <= Z^n whose image in F_2^n is
+        spanned by packed_rows (bit j = column j).
+
+        M's Hermite basis is the F_2 RREF of the rows, lifted to 0/1 vectors,
+        together with 2 e_j for every non-pivot column j.
+        """
+        ech, pivots = gf2.rref(packed_rows, ambient_dim)
+        by_pivot = dict(zip(pivots, ech))
+        rows = []
+        for j in range(ambient_dim):
+            r = by_pivot.get(j)
+            if r is None:
+                row = [0] * ambient_dim
+                row[j] = 2
+            else:
+                row = [(r >> k) & 1 for k in range(ambient_dim)]
+            rows.append(row)
+        return cls(ambient_dim, rows, den, _canonical=True)
 
     @classmethod
     def standard(cls, n):
@@ -58,6 +89,11 @@ class Lattice:
     @property
     def rank(self):
         return len(self.basis)
+
+    @property
+    def pivots(self):
+        """The leading entry of each basis row."""
+        return tuple(p for _, p, _ in self._steps)
 
     def __eq__(self, other):
         return (
@@ -70,22 +106,34 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(dim={self.ambient_dim}, rank={self.rank}, den={self.den})"
 
-    def solver(self):
-        if self._solver is None:
-            self._solver = RowSolver([list(r) for r in self.basis], self.ambient_dim)
-        return self._solver
-
     def coords(self, num, den=1):
         """Integer coordinates of the vector num/den in this basis, or None."""
         # num/den = x . basis/self.den  <=>  x . basis = num * self.den / den
-        scaled = []
-        for v in num:
-            prod = v * self.den
-            q, r = divmod(prod, den)
-            if r:
+        if den == self.den:
+            b = list(num)
+        else:
+            b = []
+            for v in num:
+                q, r = divmod(v * self.den, den)
+                if r:
+                    return None
+                b.append(q)
+        x = []
+        for col, piv, tail in self._steps:
+            q = b[col]
+            if q:
+                q, r = divmod(q, piv)
+                if r:
+                    return None
+                for j, a in tail:
+                    b[j] -= q * a
+            x.append(q)
+        # rows never touch columns left of their pivot, so what is left on a
+        # non-pivot column after the walk is final
+        for j in self._free:
+            if b[j]:
                 return None
-            scaled.append(q)
-        return self.solver().solve(scaled)
+        return x
 
     def contains(self, num, den=1):
         return self.coords(num, den) is not None
@@ -95,21 +143,27 @@ def lattice_index(sub: Lattice, sup: Lattice):
     """Index [sup : sub]; math.inf when the ranks differ.
 
     Raises NotASublattice when some basis vector of sub falls outside sup.
+    Of equal rank, both lattices span one rational space, so their Hermite
+    bases share pivot columns and the index is the ratio of the pivot
+    products, each scaled by its denominator to the rank.
     """
-    assert sub.ambient_dim == sup.ambient_dim
-    coords = []
+    if sub.ambient_dim != sup.ambient_dim:
+        raise DimensionMismatch(f"{sub!r} and {sup!r} live in different ambient spaces")
     for row in sub.basis:
-        c = sup.coords(list(row), sub.den)
-        if c is None:
+        if sup.coords(row, sub.den) is None:
             raise NotASublattice(f"{sub!r} is not contained in {sup!r}")
-        coords.append(c)
     if sub.rank != sup.rank:
         return math.inf
-    res = _snf(ZMatrix(coords))
-    idx = 1
-    for d in res.D.diagonal():
-        idx *= d
-    return abs(idx)
+    num = sup.den ** sup.rank
+    den = sub.den ** sub.rank
+    for p in sub.pivots:
+        num *= p
+    for p in sup.pivots:
+        den *= p
+    idx, rem = divmod(num, den)
+    if rem:
+        raise LatticeCheckFailed(f"[{sup!r} : {sub!r}] = {num}/{den} is not an integer")
+    return idx
 
 
 def saturate(lat: Lattice) -> Lattice:

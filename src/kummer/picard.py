@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import gf2
-from .errors import ActionMismatch, GTooLarge
+from .errors import ActionMismatch, GTooLarge, LatticeCheckFailed, NotASublattice
 from .groups import FiniteGroup, affine, affine_extension, images
 from .lattice import Lattice, lattice_index
 from .reps import GModule
@@ -29,11 +29,6 @@ class KummerLatticeModel:
     zt: Lattice
     pi1: Lattice
     pi: Lattice
-    ns_rank: int
-
-    @property
-    def rank(self):
-        return self.ambient_dim
 
 
 def _half_sum_row(g, L, c):
@@ -42,48 +37,65 @@ def _half_sum_row(g, L, c):
     return [1 if ((L & x).bit_count() & 1) == c else 0 for x in range(n)]
 
 
-def build_nikulin_lattice(g: int, ns_rank: int = 1) -> KummerLatticeModel:
+def _pack(row):
+    """A 0/1 row as an int, bit j = entry j."""
+    return sum(1 << j for j, x in enumerate(row) if x)
+
+
+def build_nikulin_lattice(g: int) -> KummerLatticeModel:
     """Construct Z[T], Pi_1, Pi for dimension g and verify the filtration.
 
-    Pi: all 2^{2g+1} affine-hyperplane half-sums plus Z[T]; the redundancy is
-    accepted so every generator can be audited against its (L, c).
+    Each lattice lies between Z[T] = Z^n and (1/2) Z^n, so it is built from
+    its generators mod 2 (``Lattice.from_f2_rows``): Pi from the 2^{2g+1}
+    affine-hyperplane half-sums, whose span is the Reed-Muller code
+    RM(1, 2g), and Pi_1 from half the full sum.  ``_verify_model`` then
+    audits every generator against the lattice built.
     """
     if g < 2:
         raise GTooLarge("the model needs g >= 2")
     if g > EQUIVARIANT_G_CAP:
         raise GTooLarge(f"lattice model capped at g <= {EQUIVARIANT_G_CAP}")
     n = 1 << (2 * g)
-    unit_rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    zt = Lattice(n, unit_rows, den=2)
-    ones = [1] * n
-    pi1 = Lattice(n, unit_rows + [ones], den=2)
     half_sums = [_half_sum_row(g, L, c) for L in range(n) for c in (0, 1)]
-    pi = Lattice(n, unit_rows + half_sums, den=2)
-    model = KummerLatticeModel(g, n, zt, pi1, pi, ns_rank)
-    _verify_model(model)
+    zt = Lattice.from_f2_rows(n, [], den=2)
+    pi1 = Lattice.from_f2_rows(n, [(1 << n) - 1], den=2)
+    pi = Lattice.from_f2_rows(n, [_pack(r) for r in half_sums], den=2)
+    model = KummerLatticeModel(g, n, zt, pi1, pi)
+    _verify_model(model, half_sums)
     return model
 
 
-def _verify_model(model):
+def _verify_model(model, half_sums):
+    """Every generator lies in the lattice built, the filtration has indices
+    2 and 2^{2g}, and 2 Pi <= Z[T], so Pi / Z[T] is elementary abelian of
+    rank 2g + 1."""
     g, n = model.g, model.ambient_dim
-    assert model.zt.rank == model.pi1.rank == model.pi.rank == n
-    assert lattice_index(model.zt, model.pi1) == 2
-    assert lattice_index(model.pi1, model.pi) == 1 << (2 * g)
-    idx = lattice_index(model.zt, model.pi)
-    assert idx == 1 << (2 * g + 1)
-    # quotient Pi / Z[T] is elementary abelian of rank 2g + 1
-    assert quotient_two_ranks(model.zt, model.pi) == 2 * g + 1
+    zt, pi1, pi = model.zt, model.pi1, model.pi
+    if not zt.rank == pi1.rank == pi.rank == n:
+        raise LatticeCheckFailed("the filtration is not of full rank")
+    units = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    generators = ((zt, []), (pi1, [[1] * n]), (pi, half_sums))
+    for lat, halves in generators:
+        if not (all(lat.contains(r) for r in units) and all(lat.contains(r, 2) for r in halves)):
+            raise LatticeCheckFailed(f"{lat!r} misses one of its generators")
+    for sub, sup, idx in ((zt, pi1, 2), (pi1, pi, 1 << (2 * g)), (zt, pi, 1 << (2 * g + 1))):
+        if lattice_index(sub, sup) != idx:
+            raise LatticeCheckFailed(f"[{sup!r} : {sub!r}] is not {idx}")
+    if not all(zt.contains([2 * x for x in r], pi.den) for r in pi.basis):
+        raise LatticeCheckFailed("Pi / Z[T] is not elementary abelian")
 
 
 def quotient_two_ranks(sub: Lattice, sup: Lattice) -> int:
     """Number of 2s in the SNF of sub expressed in sup coordinates."""
     coords = []
     for row in sub.basis:
-        c = sup.coords(list(row), sub.den)
-        assert c is not None
+        c = sup.coords(row, sub.den)
+        if c is None:
+            raise NotASublattice(f"{sub!r} is not contained in {sup!r}")
         coords.append(c)
     diag = _snf(ZMatrix(coords)).D.diagonal()
-    assert all(d in (1, 2) for d in diag), f"quotient is not elementary abelian: {diag}"
+    if not all(d in (1, 2) for d in diag):
+        raise LatticeCheckFailed(f"quotient is not elementary abelian: {diag}")
     return sum(1 for d in diag if d == 2)
 
 
@@ -91,8 +103,9 @@ def zt_in_pi_coordinates(model) -> Lattice:
     """Z[T] written in the basis of Pi (an index-2^{2g+1} sublattice of Z^n)."""
     coords = []
     for row in model.zt.basis:
-        c = model.pi.coords(list(row), model.zt.den)
-        assert c is not None
+        c = model.pi.coords(row, model.zt.den)
+        if c is None:
+            raise NotASublattice("Z[T] is not contained in Pi")
         coords.append(c)
     return Lattice(model.ambient_dim, coords)
 
@@ -247,7 +260,8 @@ def h1_two_torsion_dim(int_mats):
     rank_q = bareiss_rank(wide)
     packed = [sum((row[j] & 1) << j for j in range(len(row))) for row in wide]
     rank_f2 = gf2.F2Matrix(len(packed), len(wide[0]), packed).rank()
-    assert rank_q >= rank_f2
+    if rank_q < rank_f2:
+        raise LatticeCheckFailed(f"rank over Q {rank_q} below rank over F_2 {rank_f2}")
     return rank_q - rank_f2
 
 

@@ -9,6 +9,7 @@ failure (genuine or fault-injected) withholds all of them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .cohomology import cocycle_class_is_nonzero, h1_dim, validate_module
@@ -107,11 +108,38 @@ class CaseInput:
         return sum((f.poly.degree - 1) // 2 for f in self.factors)
 
 
+PRIME_BOUND_MAX = 10**6
+CASE_KEYS = {"factors", "prime_bound", "mode"}
+FACTOR_KEYS = {"poly", "torsor_nontrivial"}
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _check_keys(obj: dict, allowed: set, where: str):
+    unknown = sorted(str(k) for k in obj if k not in allowed)
+    if unknown:
+        raise InputError(f"unknown key(s) {unknown} in {where}")
+
+
+def _coefficient(c) -> int:
+    """A JSON integer or a decimal string; floats and bools are refused."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return c
+    if isinstance(c, str) and _DECIMAL.fullmatch(c):
+        try:
+            return int(c)
+        except ValueError as exc:  # beyond the interpreter's digit limit
+            raise InputError(f"bad coefficient {c[:20]!r}...: {exc}") from exc
+    raise InputError(f"coefficient {c!r} is not an integer or a decimal string")
+
+
 def parse_case(obj) -> CaseInput:
     """Case file schema: {"factors": [{"poly": [c0, ...], "torsor_nontrivial": b}],
-    "prime_bound": N, "mode": "certify"}; coefficients may be decimal strings."""
+    "prime_bound": N, "mode": "certify"}; coefficients are JSON integers or
+    decimal strings, b is a JSON bool, 2 <= N <= PRIME_BOUND_MAX, and no other
+    keys are accepted."""
     if not isinstance(obj, dict):
         raise InputError("case file must contain a JSON object")
+    _check_keys(obj, CASE_KEYS, "the case")
     raw_factors = obj.get("factors")
     if not isinstance(raw_factors, list) or not raw_factors:
         raise InputError('"factors" must be a non-empty list')
@@ -119,17 +147,22 @@ def parse_case(obj) -> CaseInput:
     for rf in raw_factors:
         if not isinstance(rf, dict) or "poly" not in rf:
             raise InputError('every factor needs a "poly" coefficient list')
+        _check_keys(rf, FACTOR_KEYS, "a factor")
         coeffs = rf["poly"]
         if not isinstance(coeffs, list) or not coeffs:
             raise InputError('"poly" must be a non-empty coefficient list')
-        try:
-            poly = IntPolynomial(tuple(int(c) for c in coeffs))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad coefficient in {coeffs!r}: {exc}") from exc
-        factors.append(FactorInput(poly, bool(rf.get("torsor_nontrivial", False))))
+        poly = IntPolynomial(tuple(_coefficient(c) for c in coeffs))
+        flag = rf.get("torsor_nontrivial", False)
+        if not isinstance(flag, bool):
+            raise InputError(f'"torsor_nontrivial" must be true or false, got {flag!r}')
+        factors.append(FactorInput(poly, flag))
     prime_bound = obj.get("prime_bound", 1000)
-    if not isinstance(prime_bound, int) or prime_bound < 2:
-        raise InputError('"prime_bound" must be an integer >= 2')
+    if (
+        not isinstance(prime_bound, int)
+        or isinstance(prime_bound, bool)
+        or not 2 <= prime_bound <= PRIME_BOUND_MAX
+    ):
+        raise InputError(f'"prime_bound" must be an integer in [2, {PRIME_BOUND_MAX}]')
     mode = obj.get("mode", "certify")
     return CaseInput(tuple(factors), prime_bound, mode)
 
@@ -322,7 +355,7 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
         pi1_details = dict(skip)
         pic_details = dict(skip)
     elif galois_ok:
-        model = build_nikulin_lattice(g, ns_rank=n)
+        model = build_nikulin_lattice(g)
         factor_groups = [
             torsor_factor_group(mod, f.torsor_nontrivial)
             for mod, f in zip(modules, case.factors)
@@ -564,7 +597,7 @@ def audit_example_3_desk() -> dict:
         "h1_s7_standard": h1_dim(m_s7),
         "h1_a7_standard": h1_dim(m_a7),
     }
-    model = build_nikulin_lattice(3, ns_rank=1)
+    model = build_nikulin_lattice(3)
     p = torsor_factor_group(m_s7, True)
     p_group = direct_product(p)
     eq = equivariant_lattice(model, p_group, [True])

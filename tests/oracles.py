@@ -447,3 +447,52 @@ def _per_edge_character_check(m):
                 vals[y] = w
             elif vals[y] != w:
                 raise EngineError("character is inconsistent on a Cayley relation")
+
+
+# ---------------------------------------------------------------------------
+# dense lattice layer: the engine's former Nikulin construction (Hermite
+# reduction over every generator), membership by the SNF row solver, and the
+# index as the product of a Smith diagonal
+
+
+def dense_nikulin_lattices(g):
+    """(Z[T], Pi_1, Pi) from hermite_rows over 2 e_j plus the half-sums."""
+    from kummer.lattice import Lattice
+
+    n = 1 << (2 * g)
+    unit_rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    half_sums = [
+        [1 if ((L & x).bit_count() & 1) == c else 0 for x in range(n)]
+        for L in range(n)
+        for c in (0, 1)
+    ]
+    zt = Lattice(n, unit_rows, den=2)
+    pi1 = Lattice(n, unit_rows + [[1] * n], den=2)
+    pi = Lattice(n, unit_rows + half_sums, den=2)
+    return zt, pi1, pi
+
+
+def solver_coords(lat, num, den=1):
+    """Coordinates of num/den in lat's basis by RowSolver, or None."""
+    from kummer.smith import RowSolver
+
+    scaled = []
+    for v in num:
+        q, r = divmod(v * lat.den, den)
+        if r:
+            return None
+        scaled.append(q)
+    return RowSolver([list(r) for r in lat.basis], lat.ambient_dim).solve(scaled)
+
+
+def snf_index(sub, sup):
+    """[sup : sub] for lattices of equal rank, as the product of the Smith
+    diagonal of sub's basis in solver coordinates of sup."""
+    from kummer.smith import ZMatrix, _snf
+
+    coords = [solver_coords(sup, row, sub.den) for row in sub.basis]
+    assert all(c is not None for c in coords)
+    idx = 1
+    for d in _snf(ZMatrix(coords)).D.diagonal():
+        idx *= d
+    return abs(idx)

@@ -63,6 +63,20 @@ def test_input_error_exit_one(tmp_path):
     assert code == 1
 
 
+def test_strict_case_schema_exit_one(tmp_path, capsys):
+    case = json.loads((CASES / "example1.json").read_text())
+    case["factors"][0]["torsor_nontrivial"] = "false"
+    flag = tmp_path / "flag.json"
+    flag.write_text(json.dumps(case))
+    code, data = run_cli(["--input", str(flag)], tmp_path)
+    assert code == 1 and data is None
+    assert "torsor_nontrivial" in capsys.readouterr().err
+    # the --prime-bound override goes through the same bound as the file
+    code, data = run_cli(["--input", str(CASES / "example1.json"), "--prime-bound", "1000001"], tmp_path)
+    assert code == 1 and data is None
+    assert "prime_bound" in capsys.readouterr().err
+
+
 def test_force_fail_exit_two(tmp_path):
     code, data = run_cli(
         ["--input", str(CASES / "example1.json"), "--force-fail", "pi1_cohomology"],
@@ -120,6 +134,7 @@ def test_reports_identical_under_optimize_flag():
     env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
     for args in (
         ["--input", str(CASES / "example1.json")],
+        ["--input", str(CASES / "two_jacobians.json")],
         ["--audit", "example1"],
         ["--audit", "example3"],
     ):

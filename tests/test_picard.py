@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kummer.cohomology import cocycle_class_is_nonzero, h1_dim
-from kummer.errors import ActionMismatch, GTooLarge
+from kummer.errors import ActionMismatch, GTooLarge, LatticeCheckFailed, NotASublattice
 from kummer.gf2 import matvec
 from kummer.groups import FiniteGroup, direct_product, from_cycles
 from kummer.lattice import Lattice, lattice_index, saturate
@@ -21,6 +21,7 @@ from kummer.picard import (
     zt_in_pi_coordinates,
 )
 from kummer.reps import standard_module, trivial_module
+from oracles import dense_nikulin_lattices
 
 
 def test_model_invariants_g2():
@@ -37,6 +38,41 @@ def test_model_invariants_g3():
     assert m.ambient_dim == 64
     assert lattice_index(m.zt, m.pi) == 128
     assert quotient_two_ranks(m.zt, m.pi) == 7
+
+
+def test_f2_model_equals_dense_hermite_oracle():
+    for g in (2, 3):
+        m = build_nikulin_lattice(g)
+        assert (m.zt, m.pi1, m.pi) == dense_nikulin_lattices(g)
+
+
+def test_model_check_raises_under_optimize(monkeypatch):
+    # a model whose Pi misses its half-sums must raise, not assert
+    import kummer.picard as picard
+
+    real = picard.Lattice.from_f2_rows
+
+    def drop_half_sums(n, rows, den):
+        return real(n, rows[:1], den)
+
+    monkeypatch.setattr(picard.Lattice, "from_f2_rows", staticmethod(drop_half_sums))
+    with pytest.raises(LatticeCheckFailed):
+        build_nikulin_lattice(2)
+
+
+def test_h1_two_torsion_rank_check_raises(monkeypatch):
+    import kummer.picard as picard
+
+    monkeypatch.setattr(picard, "bareiss_rank", lambda rows: 0)
+    with pytest.raises(LatticeCheckFailed):
+        h1_two_torsion_dim([[[0]]])
+
+
+def test_quotient_two_ranks_raises_on_a_non_elementary_quotient():
+    with pytest.raises(LatticeCheckFailed):
+        quotient_two_ranks(Lattice(2, [[4, 0], [0, 1]]), Lattice.standard(2))
+    with pytest.raises(NotASublattice):
+        quotient_two_ranks(Lattice.standard(2), Lattice(2, [[2, 0], [0, 2]]))
 
 
 def test_saturation_equals_pi():

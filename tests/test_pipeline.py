@@ -4,6 +4,7 @@ from kummer.errors import GroupCheckFailed, InputError
 from kummer.galois import IntPolynomial
 from kummer.pipeline import (
     HYPOTHESIS_CHECKS,
+    PRIME_BOUND_MAX,
     CaseInput,
     FactorInput,
     _two_rank,
@@ -146,6 +147,51 @@ def test_parse_case_roundtrip():
         parse_case({"factors": [{"poly": ["x"]}]})
     with pytest.raises(InputError):
         parse_case([1, 2])
+
+
+GOOD_FACTOR = {"poly": ["1", "-1", "0", "0", "0", "1"], "torsor_nontrivial": True}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # a string flag is not a bool: "false" must not turn into True
+        {"factors": [{**GOOD_FACTOR, "torsor_nontrivial": "false"}]},
+        {"factors": [{**GOOD_FACTOR, "torsor_nontrivial": 0}]},
+        # floats and bools are not coefficients; 1.7 must not truncate to 1
+        {"factors": [{**GOOD_FACTOR, "poly": [1.7, -1, 0, 0, 0, 1]}]},
+        {"factors": [{**GOOD_FACTOR, "poly": [1.0, -1, 0, 0, 0, 1]}]},
+        {"factors": [{**GOOD_FACTOR, "poly": [True, -1, 0, 0, 0, 1]}]},
+        {"factors": [{**GOOD_FACTOR, "poly": ["1.7", "-1", "0", "0", "0", "1"]}]},
+        {"factors": [{**GOOD_FACTOR, "poly": ["1_0", "-1", "0", "0", "0", "1"]}]},
+        # unknown keys, at the top level and inside a factor
+        {"factors": [GOOD_FACTOR], "prime_bund": 200},
+        {"factors": [{**GOOD_FACTOR, "torsor": True}]},
+        # prime_bound: not a bool, not a float, within [2, PRIME_BOUND_MAX]
+        {"factors": [GOOD_FACTOR], "prime_bound": True},
+        {"factors": [GOOD_FACTOR], "prime_bound": 200.0},
+        {"factors": [GOOD_FACTOR], "prime_bound": 1},
+        {"factors": [GOOD_FACTOR], "prime_bound": PRIME_BOUND_MAX + 1},
+    ],
+)
+def test_parse_case_is_strict(obj):
+    with pytest.raises(InputError):
+        parse_case(obj)
+
+
+def test_parse_case_accepts_integers_and_the_bound():
+    case = parse_case(
+        {
+            "factors": [{"poly": [1, -1, 0, 0, 0, "1"], "torsor_nontrivial": False}],
+            "prime_bound": PRIME_BOUND_MAX,
+            "mode": "certify",
+        }
+    )
+    assert case.factors[0].poly == X5
+    assert case.factors[0].torsor_nontrivial is False
+    assert case.prime_bound == PRIME_BOUND_MAX
+    # the flag defaults to a trivial torsor
+    assert parse_case({"factors": [{"poly": [1, -1, 0, 0, 0, 1]}]}).factors[0].torsor_nontrivial is False
 
 
 def test_unknown_galois_group_withholds():
