@@ -4,8 +4,9 @@
            [--mode certify|heuristic] [--audit example1|example2|example3]
            [--force-fail CHECK]
 
-Exit codes: 0 = all conclusions asserted, 2 = conclusions withheld,
-1 = input error.
+Exit codes: 0 = all conclusions asserted (and --help), 2 = conclusions
+withheld, 1 = input error (including a command line argparse rejects) or an
+engine check that failed.
 """
 
 from __future__ import annotations
@@ -25,8 +26,16 @@ from .pipeline import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as an InputError (exit 1), not by
+    argparse's own exit 2, which is the withheld-verdict code."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="verify",
         description="Verify Picard/Brauer hypotheses and conclusions for Kummer "
         "varieties attached to 2-coverings of products of hyperelliptic Jacobians.",
@@ -57,8 +66,8 @@ def _emit(payload: str, path):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.audit:
             record = {
                 "example1": lambda: audit_example_1_odd(3),

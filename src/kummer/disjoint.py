@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FactorBudgetExceeded, InputMismatch
+from .errors import FactorBudgetExceeded, InputError, InputMismatch, ZeroInput
 from .galois import (
     RAMIFIED,
     IntPolynomial,
-    cycle_type_mod_p,
     discriminant,
+    frobenius_scan,
     is_probable_prime,
     pollard_rho,
     primes_up_to,
@@ -33,8 +33,10 @@ class DiscClass:
     sign: int  # +1 or -1
 
     def __post_init__(self):
-        assert self.sign in (1, -1)
-        assert list(self.squarefree_support) == sorted(set(self.squarefree_support))
+        if self.sign not in (1, -1):
+            raise InputError(f"sign must be +1 or -1, got {self.sign!r}")
+        if list(self.squarefree_support) != sorted(set(self.squarefree_support)):
+            raise InputError("squarefree support must be sorted and without repeats")
 
     @property
     def is_trivial(self):
@@ -47,7 +49,8 @@ def squarefree_kernel(n: int, trial_bound: int = 100_000, rho_budget: int = 400_
     Trial division up to trial_bound, then Pollard-rho passes within budget;
     raises FactorBudgetExceeded when a composite cofactor refuses to split.
     """
-    assert n != 0
+    if n == 0:
+        raise ZeroInput("the squarefree kernel of 0 is undefined")
     sign = 1 if n > 0 else -1
     n = abs(n)
     support = set()
@@ -83,7 +86,8 @@ def squarefree_kernel(n: int, trial_bound: int = 100_000, rho_budget: int = 400_
 def disc_class(f: IntPolynomial) -> DiscClass:
     """Squarefree kernel of disc(f) as a class in Q*/Q*^2."""
     d = discriminant(f)
-    assert d != 0
+    if d == 0:
+        raise ZeroInput("zero discriminant has no class in Q*/Q*^2")
     support, sign = squarefree_kernel(d)
     return DiscClass(support, sign)
 
@@ -168,11 +172,10 @@ def frobenius_joint_statistics(
     m1 = {}
     m2 = {}
     total = 0
-    for p in primes_up_to(prime_bound):
-        if f1.leading % p == 0 or f2.leading % p == 0:
-            continue
-        t1 = cycle_type_mod_p(f1, p)
-        t2 = cycle_type_mod_p(f2, p)
+    primes = [p for p in primes_up_to(prime_bound) if f1.leading % p and f2.leading % p]
+    scan1 = frobenius_scan(f1, discriminant(f1), primes)
+    scan2 = frobenius_scan(f2, discriminant(f2), primes)
+    for (_, t1), (_, t2) in zip(scan1, scan2):
         if t1 is RAMIFIED or t2 is RAMIFIED:
             continue
         total += 1

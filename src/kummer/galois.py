@@ -8,11 +8,20 @@ group smaller than A_d; it answers Unknown instead.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadPrime, EvenDegree, GaloisCheckFailed, Inseparable, ZeroInput
+from .errors import (
+    BadPrime,
+    EvenDegree,
+    GaloisCheckFailed,
+    Inseparable,
+    InputError,
+    ZeroInput,
+)
 from .smith import bareiss_det
 
 
@@ -24,10 +33,11 @@ class IntPolynomial:
 
     def __post_init__(self):
         coeffs = tuple(int(c) for c in self.coefficients)
+        if not coeffs:
+            raise InputError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
-        assert self.coefficients[-1] != 0 or self.degree == 0
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -106,11 +116,13 @@ def resultant(f: IntPolynomial, g: IntPolynomial):
 def discriminant(f: IntPolynomial):
     """disc(f) = (-1)^{d(d-1)/2} Res(f, f') / lc(f); zero iff f is inseparable."""
     d = f.degree
-    assert d >= 1
+    if d < 1:
+        raise InputError(f"a polynomial of degree {d} has no discriminant")
     res = resultant(f, f.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     q, r = divmod(sign * res, f.leading)
-    assert r == 0
+    if r:
+        raise GaloisCheckFailed("Res(f, f') is not divisible by lc(f)")
     return q
 
 
@@ -127,15 +139,23 @@ def disc_is_square(n) -> bool:
 # ---------------------------------------------------------------------------
 # arithmetic mod p: distinct-degree factorisation
 
+_sieved_to = 3  # _primes holds every prime <= _sieved_to
+_primes = [2, 3]
 
-@lru_cache(maxsize=None)
+
 def primes_up_to(bound):
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i, v in enumerate(sieve) if v]
+    """The primes <= bound, in increasing order, sliced from one shared sieve
+    that grows (at least doubling) when a larger bound is asked for."""
+    global _sieved_to, _primes
+    if bound > _sieved_to:
+        n = max(bound, 2 * _sieved_to)
+        sieve = bytearray([1]) * (n + 1)
+        sieve[0:2] = b"\x00\x00"
+        for i in range(2, math.isqrt(n) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+        _sieved_to, _primes = n, [i for i, v in enumerate(sieve) if v]
+    return _primes[: bisect.bisect_right(_primes, bound)]
 
 
 class Ramified:
@@ -154,23 +174,10 @@ class Ramified:
 RAMIFIED = Ramified()
 
 
-def _pmod(f, p):
-    return [c % p for c in f]
-
-
 def _ptrim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def _pmul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
 
 
 def _pdivmod(a, b, p):
@@ -196,54 +203,108 @@ def _pgcd(a, b, p):
     return a
 
 
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    b = _pdivmod(base, mod, p)[1] if len(base) >= len(mod) else list(base)
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, b, p), mod, p)[1]
-        e >>= 1
-        if e:
-            b = _pdivmod(_pmul(b, b, p), mod, p)[1]
-    return result
+def _mulmod(u, v, fold, p):
+    """u * v mod f over F_p, for u, v of length d = deg f.
+
+    The product accumulates unreduced integers; its coefficients of x^d and
+    up are folded back through the rows x^{d+j} mod f, and each of the d
+    coefficients is reduced mod p once."""
+    d = len(u)
+    c = [0] * (2 * d - 1)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v, i):
+                c[j] += ui * vj
+    low = c[:d]
+    for ch, row in zip(c[d:], fold):
+        if ch:
+            low = [x + ch * t for x, t in zip(low, row)]
+    return [x % p for x in low]
+
+
+def _times_x(h, xd, p):
+    """x * h mod f over F_p, given xd = x^d mod f: a shift plus one fold."""
+    top = h[-1]
+    return [(lo + top * t) % p for lo, t in zip([0] + h[:-1], xd)]
+
+
+def _cycle_type(monic, p):
+    """Distinct-degree factorisation of a squarefree monic f over F_p, given
+    by its d >= 1 coefficients below the leading 1; returns the sorted degrees.
+
+    x^p mod f comes from one left-to-right square-and-multiply, in which a
+    1-bit multiplies by x as a shift plus one fold.  Frobenius is F_p-linear,
+    so x^{p^k} = Q x^{p^{k-1}} where Q has rows x^{ip} mod f: one d x d product
+    per further degree, not one powmod.  gcd(rem, x^{p^k} - x) peels off the
+    product of the degree-k factors (rem divides f, so reducing mod f is
+    enough); cycle types only need degrees, so no equal-degree splitting."""
+    d = len(monic)
+    rem = monic + [1]
+    degrees = []
+    k = 0
+    while len(rem) > 1:
+        k += 1
+        n = len(rem) - 1
+        if 2 * k > n:
+            degrees.append(n)
+            break
+        if k == 1:
+            # fold[j] = x^{d+j} mod f, j = 0 .. d-2
+            fold = [[-c % p for c in monic]]
+            while len(fold) < d - 1:
+                fold.append(_times_x(fold[-1], fold[0], p))
+            h = [0, 1] + [0] * (d - 2)  # x, the leading bit of p
+            for bit in bin(p)[3:]:
+                h = _mulmod(h, h, fold, p)
+                if bit == "1":
+                    h = _times_x(h, fold[0], p)
+            xp = h
+        else:
+            if k == 2:
+                rows = [[1] + [0] * (d - 1), xp]
+                while len(rows) < d:
+                    rows.append(_mulmod(rows[-1], xp, fold, p))
+                cols = list(zip(*rows))
+            h = [sum(map(operator.mul, h, col)) % p for col in cols]
+        hx = list(h)
+        hx[1] = (hx[1] - 1) % p  # h(x) - x
+        g = _pgcd(rem, hx, p)
+        if len(g) > 1:
+            dk = len(g) - 1
+            if dk % k:
+                raise GaloisCheckFailed(f"degree-{k} part of degree {dk} mod {p}")
+            degrees.extend([k] * (dk // k))
+            rem, r = _pdivmod(rem, g, p)
+            if r:
+                raise GaloisCheckFailed(f"gcd does not divide the remaining factor mod {p}")
+    return tuple(sorted(degrees))
+
+
+def frobenius_scan(f: IntPolynomial, disc: int, primes):
+    """Yield (p, cycle type of f mod p) for each p in primes that does not
+    divide lc(f); the type is RAMIFIED when p divides disc = disc(f).
+
+    For p not dividing lc(f), f mod p is squarefree exactly when p does not
+    divide disc(f), so ramification costs one remainder."""
+    coeffs = f.coefficients
+    lead = coeffs[-1]
+    for p in primes:
+        if lead % p == 0:
+            continue
+        if disc % p == 0:
+            yield p, RAMIFIED
+            continue
+        inv = pow(lead, -1, p)
+        yield p, _cycle_type([c * inv % p for c in coeffs[:-1]], p)
 
 
 def cycle_type_mod_p(f: IntPolynomial, p: int):
-    """Degrees of the irreducible factors of f mod p (sorted tuple), or RAMIFIED.
-
-    Distinct-degree factorisation: gcd with x^{p^k} - x peels off the product
-    of the degree-k factors; cycle types only need the degrees, so no
-    equal-degree splitting is performed.
-    """
+    """Degrees of the irreducible factors of f mod p (sorted tuple), or RAMIFIED."""
     if f.leading % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
-    fb = _ptrim(_pmod(list(f.coefficients), p))
-    lead_inv = pow(fb[-1], -1, p)
-    fb = [c * lead_inv % p for c in fb]
-    deriv = _ptrim([(i * c) % p for i, c in enumerate(fb)][1:])
-    if not deriv or len(_pgcd(fb, deriv, p)) > 1:
-        return RAMIFIED
-    degrees = []
-    rem = fb
-    h = [0, 1]  # x
-    k = 0
-    while len(rem) - 1 > 0:
-        k += 1
-        if 2 * k > len(rem) - 1:
-            degrees.append(len(rem) - 1)
-            break
-        h = _ppowmod(h, p, rem, p)
-        hx = list(h) + [0] * max(0, 2 - len(h))
-        hx[1] = (hx[1] - 1) % p  # h(x) - x
-        g = _pgcd(rem, _ptrim(hx), p)
-        if len(g) > 1:
-            dk = len(g) - 1
-            assert dk % k == 0
-            degrees.extend([k] * (dk // k))
-            rem, r = _pdivmod(rem, g, p)
-            assert not r
-            h = _pdivmod(h, rem, p)[1] if len(h) >= len(rem) else h
-    return tuple(sorted(degrees))
+    # a constant's derivative vanishes, so it is never squarefree here
+    disc = discriminant(f) if f.degree >= 1 else 0
+    return next(frobenius_scan(f, disc, (p,)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +341,7 @@ def _power_cycle_types(t):
     return out
 
 
+@lru_cache(maxsize=None)
 def _forces_alternating(t, d):
     """Does an element of cycle type t force the group to contain A_d?
 
@@ -340,10 +402,7 @@ def certify_galois(f: IntPolynomial, prime_bound: int = 1000) -> GaloisCertifica
     jordan = None
     odd_wit = None
     witnesses = []
-    for p in primes_up_to(prime_bound):
-        if f.leading % p == 0:
-            continue
-        t = cycle_type_mod_p(f, p)
+    for p, t in frobenius_scan(f, disc, primes_up_to(prime_bound)):
         if t is RAMIFIED:
             continue
         if irred is None and t == (d,):

@@ -496,3 +496,104 @@ def snf_index(sub, sup):
     for d in _snf(ZMatrix(coords)).D.diagonal():
         idx *= d
     return abs(idx)
+
+
+# ---------------------------------------------------------------------------
+# distinct-degree factorisation mod p, one full powmod per degree
+
+
+def _ptrim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _pmul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _ptrim(out)
+
+
+def _pdivmod(a, b, p):
+    a = list(a)
+    binv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] * binv % p
+        if c:
+            q[i] = c
+            for j, y in enumerate(b):
+                a[i + j] = (a[i + j] - c * y) % p
+    return q, _ptrim(a[: len(b) - 1])
+
+
+def _pgcd(a, b, p):
+    a, b = _ptrim(list(a)), _ptrim(list(b))
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [x * inv % p for x in a]
+    return a
+
+
+def _ppowmod(base, e, mod, p):
+    result = [1]
+    b = _pdivmod(base, mod, p)[1] if len(base) >= len(mod) else list(base)
+    while e:
+        if e & 1:
+            result = _pdivmod(_pmul(result, b, p), mod, p)[1]
+        e >>= 1
+        if e:
+            b = _pdivmod(_pmul(b, b, p), mod, p)[1]
+    return result
+
+
+def _monic_mod_p(coeffs, p):
+    fb = _ptrim([c % p for c in coeffs])
+    inv = pow(fb[-1], -1, p)
+    return [c * inv % p for c in fb]
+
+
+def is_ramified_by_gcd(coeffs, p):
+    """Is f mod p not squarefree, by gcd(f, f') over F_p (p must not divide lc)?"""
+    fb = _monic_mod_p(coeffs, p)
+    deriv = _ptrim([(i * c) % p for i, c in enumerate(fb)][1:])
+    return not deriv or len(_pgcd(fb, deriv, p)) > 1
+
+
+def ddf_cycle_type(coeffs, p):
+    """Degrees of the irreducible factors of f mod p (sorted tuple), or
+    kummer.galois.RAMIFIED: gcd(f, f') for ramification, then
+    gcd(rem, x^{p^k} - x) with x^{p^k} from a fresh powmod at every k."""
+    from kummer.errors import BadPrime
+    from kummer.galois import RAMIFIED
+
+    if coeffs[-1] % p == 0:
+        raise BadPrime(f"{p} divides the leading coefficient")
+    if is_ramified_by_gcd(coeffs, p):
+        return RAMIFIED
+    degrees = []
+    rem = _monic_mod_p(coeffs, p)
+    h = [0, 1]  # x
+    k = 0
+    while len(rem) - 1 > 0:
+        k += 1
+        if 2 * k > len(rem) - 1:
+            degrees.append(len(rem) - 1)
+            break
+        h = _ppowmod(h, p, rem, p)
+        hx = list(h) + [0] * max(0, 2 - len(h))
+        hx[1] = (hx[1] - 1) % p  # h(x) - x
+        g = _pgcd(rem, _ptrim(hx), p)
+        if len(g) > 1:
+            dk = len(g) - 1
+            assert dk % k == 0
+            degrees.extend([k] * (dk // k))
+            rem, r = _pdivmod(rem, g, p)
+            assert not r
+            h = _pdivmod(h, rem, p)[1] if len(h) >= len(rem) else h
+    return tuple(sorted(degrees))

@@ -148,3 +148,19 @@ def test_reports_identical_under_optimize_flag():
             assert out.returncode == 0, out.stderr
             reports.append(out.stdout)
         assert reports[0] == reports[1], args
+
+
+def test_rejected_command_line_is_an_input_error(capsys):
+    # exit 2 means withheld conclusions; a command line argparse rejects is
+    # malformed input, exit 1
+    for args in (["--prime-bound", "1e7"], ["--no-such-flag"], ["--audit", "example9"]):
+        code = main(["--input", str(CASES / "example1.json"), *args])
+        assert code == 1, args
+        assert "input error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero():
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    out = subprocess.run([sys.executable, "-m", "kummer.cli", "--help"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert "--prime-bound" in out.stdout

@@ -1,0 +1,208 @@
+"""The per-prime Frobenius kernel against the one-powmod-per-degree oracle,
+the shared sieve, the typed soundness checks of galois and disjoint, and the
+certificates against sympy's Galois groups."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kummer import galois
+from kummer.disjoint import DiscClass, disc_class, squarefree_kernel
+from kummer.errors import BadPrime, GaloisCheckFailed, InputError, ZeroInput
+from kummer.galois import (
+    RAMIFIED,
+    IntPolynomial,
+    certify_galois,
+    cycle_type_mod_p,
+    discriminant,
+    frobenius_scan,
+    primes_up_to,
+)
+
+from oracles import ddf_cycle_type, is_ramified_by_gcd
+
+ROOT = Path(__file__).resolve().parent.parent
+SMALL_PRIMES = primes_up_to(60)
+PRIMES = primes_up_to(20_000)
+NEAR_MILLION = (999_953, 999_959, 999_961, 999_979, 999_983, 1_000_003)
+
+
+def naive_primes(bound):
+    return [n for n in range(2, bound + 1) if all(n % q for q in range(2, int(n**0.5) + 1))]
+
+
+def test_primes_up_to_matches_naive_sieve_in_any_order():
+    # growing, shrinking and repeated bounds all slice the one shared sieve
+    for bound in (-3, 0, 1, 2, 3, 4, 10, 97, 1000, 5, 4999, 20_011, 2, 30_000, 1000):
+        assert primes_up_to(bound) == naive_primes(bound), bound
+    assert len(primes_up_to(10_000)) == 1229
+    assert len(primes_up_to(100_000)) == 9592
+    assert primes_up_to(100_003)[-1] == 100_003
+
+
+polys = st.integers(1, 7).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.integers(-60, 60), min_size=d, max_size=d),
+        st.sampled_from([1, -1, 2, 3, 4, 5, 6, 9, 10, 12, 25, 30, 49, 210, 1001]),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, st.lists(st.sampled_from(PRIMES), min_size=1, max_size=12))
+def test_cycle_types_match_the_oracle_ddf(poly, sampled):
+    low, lead = poly
+    f = IntPolynomial(tuple(low) + (lead,))
+    for p in SMALL_PRIMES + sorted(set(sampled)) + list(NEAR_MILLION):
+        if lead % p == 0:
+            with pytest.raises(BadPrime):
+                cycle_type_mod_p(f, p)
+            continue
+        expected = ddf_cycle_type(f.coefficients, p)
+        assert cycle_type_mod_p(f, p) == expected, (f, p)
+        # ramification from disc mod p equals the gcd(f, f') test
+        assert (discriminant(f) % p == 0) == is_ramified_by_gcd(f.coefficients, p), (f, p)
+        assert (expected is RAMIFIED) == is_ramified_by_gcd(f.coefficients, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys)
+def test_scan_matches_per_prime_calls(poly):
+    low, lead = poly
+    f = IntPolynomial(tuple(low) + (lead,))
+    primes = primes_up_to(400)
+    scanned = list(frobenius_scan(f, discriminant(f), primes))
+    assert [p for p, _ in scanned] == [p for p in primes if lead % p]
+    assert all(t == ddf_cycle_type(f.coefficients, p) for p, t in scanned)
+
+
+def test_cycle_type_small_inputs_keep_their_answers():
+    assert cycle_type_mod_p(IntPolynomial((1, 0, 1)), 3) == (2,)
+    assert cycle_type_mod_p(IntPolynomial((3, 2)), 7) == (1,)
+    # a constant has a vanishing derivative, as before
+    assert cycle_type_mod_p(IntPolynomial((5,)), 3) is RAMIFIED
+    with pytest.raises(BadPrime):
+        cycle_type_mod_p(IntPolynomial((5,)), 5)
+
+
+def _oracle_scan(f, disc, primes):
+    for p in primes:
+        if f.leading % p:
+            yield p, ddf_cycle_type(f.coefficients, p)
+
+
+@pytest.mark.parametrize(
+    "coeffs, bound",
+    [
+        ((-2, 0, 0, 0, 0, 1), 600),  # x^5 - 2, F20: Unknown
+        ((-10, 0, 0, 0, 0, 1), 600),
+        ((-32, 0, 0, 0, 0, 1), 300),  # reducible
+        ((-10, 0, 0, 0, 0, 0, 0, 1), 600),  # x^7 - 10, F42: Unknown
+        ((-3, 0, 0, 0, 0, 0, 0, 1), 600),
+        ((1, -1, 0, 0, 0, 1), 200),  # S5
+        ((16, 20, 0, 0, 0, 1), 500),  # A5
+        ((3, -7, 0, 0, 0, 0, 0, 1), 400),  # PSL(2, 7): Unknown
+        ((1, 0, 0, 0, 0, 0, -2, 3), 400),  # non-monic septic
+    ],
+)
+def test_certificate_equals_the_oracle_driven_scan(monkeypatch, coeffs, bound):
+    f = IntPolynomial(coeffs)
+    cert = certify_galois(f, bound)
+    monkeypatch.setattr(galois, "frobenius_scan", _oracle_scan)
+    assert certify_galois(f, bound) == cert
+
+
+def test_ddf_internal_checks_raise_typed_errors(monkeypatch):
+    # x^5 - x + 1 = (x^2 + x + 1)(x^3 + x^2 + 1) mod 2
+    f = IntPolynomial((1, -1, 0, 0, 0, 1))
+    real = galois._pgcd
+    calls = []
+
+    def wrong_second_gcd(a, b, p):
+        calls.append(p)
+        return real(a, b, p) if len(calls) == 1 else [1, 0, 1, 1]  # degree 3 at k = 2
+
+    monkeypatch.setattr(galois, "_pgcd", wrong_second_gcd)
+    with pytest.raises(GaloisCheckFailed):
+        cycle_type_mod_p(f, 2)
+    monkeypatch.setattr(galois, "_pgcd", lambda a, b, p: [1, 1])  # x + 1 divides nothing here
+    with pytest.raises(GaloisCheckFailed):
+        cycle_type_mod_p(f, 2)
+
+
+def test_soundness_checks_are_typed_errors(monkeypatch):
+    with pytest.raises(InputError):
+        IntPolynomial(())
+    with pytest.raises(InputError):
+        discriminant(IntPolynomial((7,)))
+    with pytest.raises(InputError):
+        DiscClass((3,), 2)
+    with pytest.raises(InputError):
+        DiscClass((5, 3), 1)
+    with pytest.raises(InputError):
+        DiscClass((3, 3), -1)
+    with pytest.raises(ZeroInput):
+        squarefree_kernel(0)
+    inseparable = IntPolynomial((1, 2, 1)) * IntPolynomial((0, 1))
+    with pytest.raises(ZeroInput):
+        disc_class(inseparable)
+    monkeypatch.setattr(galois, "resultant", lambda f, g: 7)
+    with pytest.raises(GaloisCheckFailed):
+        discriminant(IntPolynomial((1, 0, 2)))
+
+
+def test_withheld_verdict_identical_under_optimize_flag(tmp_path):
+    # x^7 - 10 has group F42, so every prime up to the bound is scanned and
+    # the Galois hypothesis withholds; python -O must change neither the exit
+    # code nor a byte of the report
+    case = tmp_path / "septic.json"
+    case.write_text(json.dumps({"factors": [{"poly": ["-10", "0", "0", "0", "0", "0", "0", "1"]}], "prime_bound": 2000}))
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    reports = []
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "kummer.cli", "--input", str(case)],
+            capture_output=True,
+            env=env,
+        )
+        assert out.returncode == 2, out.stderr
+        reports.append(out.stdout)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["conclusions"]["withheld_because"][0] == "galois_certification"
+
+
+SYMPY_NAMES = {"S3": "SymmetricGroup", "A3": "AlternatingGroup", "S5": "SymmetricGroup", "A5": "AlternatingGroup"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5]).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-12, 12), min_size=d, max_size=d),
+            st.sampled_from([1, 1, 1, 2, 3, -4]),
+        )
+    ),
+    st.sampled_from([30, 200]),
+)
+@example(([-1, -1, 0], 1), 50)  # S3
+@example(([1, -1, 0, 0, 0], 1), 200)  # S5
+@example(([16, 20, 0, 0, 0], 1), 500)  # A5
+def test_certificates_never_contradict_sympy(poly, bound):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.galoisgroups import galois_group
+
+    low, lead = poly
+    f = IntPolynomial(tuple(low) + (lead,))
+    if discriminant(f) == 0:
+        return
+    cert = certify_galois(f, bound)
+    if cert.verdict == "Unknown":
+        return
+    x = sympy.symbols("x")
+    group, _ = galois_group(sympy.Poly(list(reversed(f.coefficients)), x), by_name=True)
+    assert SYMPY_NAMES.get(group.name) == cert.verdict, (f, group, cert)
