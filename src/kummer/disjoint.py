@@ -38,10 +38,6 @@ class DiscClass:
         if list(self.squarefree_support) != sorted(set(self.squarefree_support)):
             raise InputError("squarefree support must be sorted and without repeats")
 
-    @property
-    def is_trivial(self):
-        return not self.squarefree_support and self.sign == 1
-
 
 def squarefree_kernel(n: int, trial_bound: int = 100_000, rho_budget: int = 400_000):
     """Prime support of the squarefree part of n (n != 0), plus the sign.

@@ -32,16 +32,15 @@ class IntPolynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        for c in coeffs:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise InputError(f"coefficient {c!r} is not an integer")
         if not coeffs:
             raise InputError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs):
-        return cls(tuple(coeffs))
 
     @property
     def degree(self):

@@ -4,6 +4,15 @@ conclusions with COMPUTED / CITED provenance tags.
 
 Conclusions are asserted only when every hypothesis check passes; a single
 failure (genuine or fault-injected) withholds all of them.
+
+``run_case`` calls one stage function per check: Galois certification,
+disjointness, module structure, H^1 vanishing, and one equivariant stage for
+the two lattice checks, which share the model and P.  Each stage returns
+``(passed, details)``, plus what later stages need.  ``run_case`` alone
+handles fault injection, the skips after a failed Galois certification, the
+strict torsor-count rule and the conclusions.  The module checks enumerate
+only the factor groups, never their product, so every input beyond the
+lattice cap (g > 3) gets a withheld report.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .groups import (
     symplectic_group,
 )
 from .picard import (
+    EQUIVARIANT_G_CAP,
     build_nikulin_lattice,
     canonical_class,
     canonical_class_in_pi1,
@@ -192,6 +202,9 @@ class VerdictReport:
         return self.conclusions.get("asserted", False)
 
 
+_CONCLUSION_KEYS = ("picard_rank", "br2_algebraic", "br1_equals_br0", "br_bar_2_invariants_zero")
+
+
 def _check(name, passed, details, force_fail=None):
     entry = {"name": name, "passed": bool(passed), "details": details}
     if force_fail == name:
@@ -208,90 +221,106 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
     """
     if force_fail is not None and force_fail not in HYPOTHESIS_CHECKS:
         raise InputError(f"unknown check {force_fail!r}")
-    hypotheses = []
-    n = len(case.factors)
-    g = case.g
-
-    # (1) Galois certification: S_d or A_d, and S_3 only at degree 3
-    certs = []
-    galois_details = []
-    galois_ok = True
-    for f in case.factors:
-        cert = certify_galois(f.poly, case.prime_bound)
-        certs.append(cert)
-        ok = cert.verdict in ("SymmetricGroup", "AlternatingGroup")
-        if cert.degree == 3 and cert.verdict == "AlternatingGroup":
-            ok = False
-        galois_ok = galois_ok and ok
-        galois_details.append(
-            {
-                "poly": [str(c) for c in f.poly.coefficients],
-                "degree": cert.degree,
-                "verdict": cert.verdict,
-                "discriminant": str(cert.discriminant),
-                "disc_square": cert.disc_square,
-                "witnesses": [[p, list(t), role] for p, t, role in cert.witnesses],
-                "accepted": ok,
-            }
-        )
-    hypotheses.append(
-        _check("galois_certification", galois_ok, galois_details, force_fail)
-    )
-
-    # (2) linear disjointness of the splitting fields
-    disjoint_details = {}
-    disjoint_ok = False
-    classes = None
-    if galois_ok:
-        try:
-            classes = [disc_class(f.poly) for f in case.factors]
-            out = certify_family_disjoint(certs, classes)
-            disjoint_details = {
-                "verdict": out.verdict,
-                "reason": out.reason,
-                "classes": [
-                    {"support": list(c.squarefree_support), "sign": c.sign}
-                    for c in classes
-                ],
-            }
-            disjoint_ok = out.verdict == "Certified" or (
-                case.mode == "heuristic" and out.verdict == "HeuristicOnly"
-            )
-            if out.verdict == "HeuristicOnly" and case.mode == "heuristic" and n >= 2:
-                scores = {}
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        scores[f"{i},{j}"] = frobenius_joint_statistics(
-                            case.factors[i].poly, case.factors[j].poly, case.prime_bound
-                        )
-                disjoint_details["frobenius_scores"] = scores
-        except FactorBudgetExceeded as exc:
-            disjoint_details = {"verdict": "HeuristicOnly", "reason": str(exc)}
-            disjoint_ok = case.mode == "heuristic"
+    galois_ok, galois_details, certs = _galois_stage(case)
+    outcomes = [(galois_ok, galois_details)]
+    audit = None
+    if not galois_ok:
+        skip = {"skipped": "galois certification failed"}
+        outcomes += [(False, skip), (False, [skip]), (False, [skip]), (False, skip), (False, skip)]
     else:
-        disjoint_details = {"skipped": "galois certification failed"}
-    hypotheses.append(
-        _check("linear_disjointness", disjoint_ok, disjoint_details, force_fail)
-    )
+        outcomes.append(_disjointness_stage(case, certs))
+        structure_ok, structure_details, modules = _module_stage(certs)
+        outcomes += [(structure_ok, structure_details), _h1_stage(modules)]
+        strict = force_fail is None and all(ok for ok, _ in outcomes)
+        (pi1_ok, pi1_details), (pic_ok, pic_details) = _equivariant_stage(case, modules)
+        outcomes += [(pi1_ok, pi1_details), (pic_ok, pic_details)]
+        for line in pic_details.get("factors", ()):
+            hv, expected = line["h1_torsor_group_module"], line["expected"]
+            if strict and hv != expected:
+                raise EngineError(
+                    f"H^1(P, V_{line['factor']}) = {hv} but the hypothesis chain "
+                    f"predicts {expected}; refusing to reconcile silently"
+                )
+        if "skipped" not in pi1_details:
+            audit = {**pi1_details, **pic_details}
+    hypotheses = [
+        _check(name, ok, details, force_fail)
+        for name, (ok, details) in zip(HYPOTHESIS_CHECKS, outcomes)
+    ]
+    failing = [h["name"] for h in hypotheses if not h["passed"]]
+    citations = sorted(set(CITATIONS.values()))
+    return VerdictReport(_case_echo(case), hypotheses, audit, _conclusions(case, failing), citations)
 
-    # (3) module structure: absolute simplicity, alternating restriction,
-    #     and the wedge-square decomposition audit for the product
-    modules = []
-    structure_ok = galois_ok
-    structure_details = []
-    if galois_ok:
-        for f, cert in zip(case.factors, certs):
-            kind = "S" if cert.verdict == "SymmetricGroup" else "A"
-            d = cert.degree
-            mod = standard_module(d, kind)
-            alt = standard_module(d, "A")
-            end_dim = endomorphism_algebra_dim(mod)
-            abs_simple = is_simple(mod) and end_dim == 1
-            fixed_dim = h0(mod)
-            alt_simple = is_simple(alt)
-            alt_abs = is_absolutely_simple(alt) if d >= 5 else None
-            alt_no_index2 = not has_index_l_normal_subgroup(alternating_group(d), 2)
-            entry = {
+
+def _galois_stage(case):
+    """(1) Galois certification: S_d or A_d, and S_3 only at degree 3.
+    Returns (passed, details, certificates)."""
+    certs = [certify_galois(f.poly, case.prime_bound) for f in case.factors]
+    details = [
+        {
+            "poly": [str(c) for c in f.poly.coefficients],
+            "degree": cert.degree,
+            "verdict": cert.verdict,
+            "discriminant": str(cert.discriminant),
+            "disc_square": cert.disc_square,
+            "witnesses": [[p, list(t), role] for p, t, role in cert.witnesses],
+            "accepted": cert.verdict == "SymmetricGroup"
+            or (cert.verdict == "AlternatingGroup" and cert.degree != 3),
+        }
+        for f, cert in zip(case.factors, certs)
+    ]
+    return all(e["accepted"] for e in details), details, certs
+
+
+def _disjointness_stage(case, certs):
+    """(2) Linear disjointness of the splitting fields."""
+    try:
+        classes = [disc_class(f.poly) for f in case.factors]
+        out = certify_family_disjoint(certs, classes)
+    except FactorBudgetExceeded as exc:
+        return case.mode == "heuristic", {"verdict": "HeuristicOnly", "reason": str(exc)}
+    details = {
+        "verdict": out.verdict,
+        "reason": out.reason,
+        "classes": [{"support": list(c.squarefree_support), "sign": c.sign} for c in classes],
+    }
+    heuristic = case.mode == "heuristic" and out.verdict == "HeuristicOnly"
+    n = len(case.factors)
+    if heuristic and n >= 2:
+        polys = [f.poly for f in case.factors]
+        details["frobenius_scores"] = {
+            f"{i},{j}": frobenius_joint_statistics(polys[i], polys[j], case.prime_bound)
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+    return out.verdict == "Certified" or heuristic, details
+
+
+def _module_stage(certs):
+    """(3) Module structure: each factor module is validated (its Cayley-graph
+    harvest is cached for stage 4), then absolute simplicity, the alternating
+    restriction, and the wedge-square decomposition audit for the product.
+
+    The product module is read only through its generator matrices: a
+    product of homomorphisms is a homomorphism, so the product of the factor
+    groups is never enumerated.  Returns (passed, details, modules).
+    """
+    modules, details = [], []
+    for cert in certs:
+        d = cert.degree
+        kind = "S" if cert.verdict == "SymmetricGroup" else "A"
+        mod = standard_module(d, kind)
+        validate_module(mod)
+        alt = standard_module(d, "A")
+        end_dim = endomorphism_algebra_dim(mod)
+        abs_simple = is_simple(mod) and end_dim == 1
+        fixed_dim = h0(mod)
+        alt_simple = is_simple(alt)
+        alt_abs = is_absolutely_simple(alt) if d >= 5 else None
+        alt_no_index2 = not has_index_l_normal_subgroup(alternating_group(d), 2)
+        ok = abs_simple and fixed_dim == 0 and alt_simple and alt_no_index2
+        details.append(
+            {
                 "degree": d,
                 "group": kind,
                 "dim": mod.dim,
@@ -301,179 +330,115 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
                 "alternating_restriction_simple": alt_simple,
                 "alternating_restriction_absolutely_simple": alt_abs,
                 "alternating_has_no_index_2_quotient": alt_no_index2,
+                "accepted": ok and alt_abs if d >= 5 else ok,
             }
-            ok = abs_simple and fixed_dim == 0 and alt_simple and alt_no_index2
-            if d >= 5:
-                ok = ok and alt_abs
-            entry["accepted"] = ok
-            structure_ok = structure_ok and ok
-            structure_details.append(entry)
-            modules.append(mod)
-        prod = product_factor_module(modules)
-        prod = with_character(prod, [1] * len(prod.group.generators))
-        validate_module(prod)
-        wedge_total = wedge2_dual_invariants_dim(prod)
-        cross = _cross_hom_dims(modules, prod.group)
-        decomposition = {
-            "wedge2_invariants_total": wedge_total,
-            "expected_total": n,
-            "cross_hom_dims": cross,
-        }
-        ok = wedge_total == n and all(v == 0 for v in cross.values())
-        structure_ok = structure_ok and ok
-        structure_details.append({"decomposition_audit": decomposition, "accepted": ok})
-    else:
-        structure_details = [{"skipped": "galois certification failed"}]
-        structure_ok = False
-    hypotheses.append(
-        _check("module_structure", structure_ok, structure_details, force_fail)
+        )
+        modules.append(mod)
+    prod = product_factor_module(modules)
+    prod = with_character(prod, [1] * len(prod.group.generators))
+    wedge_total = wedge2_dual_invariants_dim(prod)
+    cross = _cross_hom_dims(modules, prod.group)
+    decomposition = {
+        "wedge2_invariants_total": wedge_total,
+        "expected_total": len(modules),
+        "cross_hom_dims": cross,
+    }
+    ok = wedge_total == len(modules) and all(v == 0 for v in cross.values())
+    details.append({"decomposition_audit": decomposition, "accepted": ok})
+    return all(e["accepted"] for e in details), details, modules
+
+
+def _h1_stage(modules):
+    """(4) H^1(G_i, V_i) = 0 per factor."""
+    details = [{"group": m.group.name, "dim": m.dim, "h1": h1_dim(m)} for m in modules]
+    return all(e["h1"] == 0 for e in details), details
+
+
+def _equivariant_stage(case, modules):
+    """(5)+(6) Equivariant audit over the torsor Galois group P = prod P_i:
+    H^1(P, Pi_1) and the assembled H^1 of the Picard model.  Returns the
+    (passed, details) pairs of both checks.
+
+    The lattice model is desk-bounded: beyond EQUIVARIANT_G_CAP both checks
+    fail closed unrun, and every conclusion stays withheld.
+    """
+    g = case.g
+    if g > EQUIVARIANT_G_CAP:
+        skip = f"total dimension g = {g} beyond the lattice cap g <= {EQUIVARIANT_G_CAP}"
+        return (False, {"skipped": skip}), (False, {"skipped": skip})
+    flags = [f.torsor_nontrivial for f in case.factors]
+    p_group = direct_product(
+        *[torsor_factor_group(mod, flag) for mod, flag in zip(modules, flags)]
     )
+    eq = equivariant_lattice(build_nikulin_lattice(g), p_group, flags)
+    h1_pi1 = eq.h1_pi1_two_torsion()
+    perm_basis = eq.permutation_basis_exists()
+    all_trivial = not any(flags)
+    pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
+    pi1_details = {
+        "group_order": p_group.order(),
+        "h1_pi1": h1_pi1,
+        "pi1_permutation_basis": perm_basis,
+        "all_torsors_trivial": all_trivial,
+    }
+    lines = []
+    for i, (vmod, flag) in enumerate(zip(eq.factor_modules, flags)):
+        hv = h1_dim(vmod)
+        line = {
+            "factor": i,
+            "torsor_nontrivial": flag,
+            "h1_torsor_group_module": hv,
+            "expected": 1 if flag else 0,
+            "h1_pic_factor_model": hv,
+        }
+        if flag:
+            nonzero = cocycle_class_is_nonzero(vmod, eq.tau_cocycles[i])
+            line["torsor_class_nonzero"] = nonzero
+            line["h1_pic_factor_model"] = hv - (1 if nonzero else 0)
+        lines.append(line)
+    assembled = h1_pi1 + sum(line["h1_pic_factor_model"] for line in lines)
+    pic_ok = pi1_ok and assembled == 0 and all(
+        line["h1_torsor_group_module"] == line["expected"] and line["h1_pic_factor_model"] == 0
+        for line in lines
+    )
+    pic_details = {"factors": lines, "h1_pic_model_assembled": assembled}
+    return (pi1_ok, pi1_details), (pic_ok, pic_details)
 
-    # (4) H^1(G_i, V_i) = 0 per factor
-    h1_ok = galois_ok
-    h1_details = []
-    if galois_ok:
-        for mod in modules:
-            val = h1_dim(mod)
-            h1_details.append({"group": mod.group.name, "dim": mod.dim, "h1": val})
-            h1_ok = h1_ok and val == 0
-    else:
-        h1_details = [{"skipped": "galois certification failed"}]
-        h1_ok = False
-    hypotheses.append(_check("h1_vanishing", h1_ok, h1_details, force_fail))
 
-    # (5)+(6) equivariant audit over the torsor Galois group
-    audit = None
-    pi1_ok = False
-    pic_ok = False
-    pi1_details = {}
-    pic_details = {}
-    if galois_ok and g > 3:
-        # the lattice model is desk-bounded; the audit cannot be run, so the
-        # checks fail closed and every conclusion stays withheld
-        skip = {"skipped": f"total dimension g = {g} beyond the lattice cap g <= 3"}
-        pi1_details = dict(skip)
-        pic_details = dict(skip)
-    elif galois_ok:
-        model = build_nikulin_lattice(g)
-        factor_groups = [
-            torsor_factor_group(mod, f.torsor_nontrivial)
-            for mod, f in zip(modules, case.factors)
-        ]
-        p_group = direct_product(*factor_groups)
-        flags = [f.torsor_nontrivial for f in case.factors]
-        eq = equivariant_lattice(model, p_group, flags)
-        h1_pi1 = eq.h1_pi1_two_torsion()
-        perm_basis = eq.permutation_basis_exists()
-        all_trivial = not any(flags)
-        pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
-        pi1_details = {
-            "group_order": p_group.order(),
-            "h1_pi1": h1_pi1,
-            "pi1_permutation_basis": perm_basis,
-            "all_torsors_trivial": all_trivial,
+def _conclusions(case, failing):
+    """The four conclusions, asserted only when no check failed, plus the
+    cited odd-part note."""
+    asserted = not failing
+    values = dict.fromkeys(_CONCLUSION_KEYS, True if asserted else None)
+    if asserted:
+        values["picard_rank"] = numerology(case.g, len(case.factors))["picard_rank"]
+    conclusions = {"asserted": asserted, "withheld_because": failing or None}
+    for key in _CONCLUSION_KEYS:
+        conclusions[key] = {
+            "value": values[key],
+            "source": "COMPUTED" if asserted else "WITHHELD",
+            "citation": CITATIONS[key],
         }
-
-        upstream_ok = galois_ok and disjoint_ok and structure_ok and h1_ok
-        factor_lines = []
-        pic_ok = pi1_ok
-        assembled = h1_pi1
-        for i, (mod, f) in enumerate(zip(modules, case.factors)):
-            vmod = eq.factor_modules[i]
-            hv = h1_dim(vmod)
-            expected = 1 if f.torsor_nontrivial else 0
-            if hv != expected and upstream_ok and force_fail is None:
-                raise EngineError(
-                    f"H^1(P, V_{i}) = {hv} but the hypothesis chain predicts "
-                    f"{expected}; refusing to reconcile silently"
-                )
-            line = {
-                "factor": i,
-                "torsor_nontrivial": f.torsor_nontrivial,
-                "h1_torsor_group_module": hv,
-                "expected": expected,
-            }
-            pic_factor = hv
-            if f.torsor_nontrivial:
-                tau_nonzero = cocycle_class_is_nonzero(vmod, eq.tau_cocycles[i])
-                line["torsor_class_nonzero"] = tau_nonzero
-                pic_factor = hv - (1 if tau_nonzero else 0)
-            line["h1_pic_factor_model"] = pic_factor
-            assembled += pic_factor
-            pic_ok = pic_ok and hv == expected and pic_factor == 0
-            factor_lines.append(line)
-        pic_details = {
-            "factors": factor_lines,
-            "h1_pic_model_assembled": assembled,
-        }
-        pic_ok = pic_ok and assembled == 0
-        audit = {**pi1_details, **pic_details}
-    else:
-        pi1_details = {"skipped": "galois certification failed"}
-        pic_details = {"skipped": "galois certification failed"}
-    hypotheses.append(_check("pi1_cohomology", pi1_ok, pi1_details, force_fail))
-    hypotheses.append(_check("pic_model_cohomology", pic_ok, pic_details, force_fail))
-
-    # conclusions
-    all_ok = all(h["passed"] for h in hypotheses)
-    failing = [h["name"] for h in hypotheses if not h["passed"]]
-    conclusions = {"asserted": all_ok, "withheld_because": failing or None}
-    if all_ok:
-        num = numerology(g, n)
-        conclusions["picard_rank"] = {
-            "value": num["picard_rank"],
-            "source": "COMPUTED",
-            "citation": CITATIONS["picard_rank"],
-        }
-        conclusions["br2_algebraic"] = {
-            "value": True,
-            "source": "COMPUTED",
-            "citation": CITATIONS["br2_algebraic"],
-        }
-        conclusions["br1_equals_br0"] = {
-            "value": True,
-            "source": "COMPUTED",
-            "citation": CITATIONS["br1_equals_br0"],
-        }
-        conclusions["br_bar_2_invariants_zero"] = {
-            "value": True,
-            "source": "COMPUTED",
-            "citation": CITATIONS["br_bar_2_invariants_zero"],
-        }
-    else:
-        for key in (
-            "picard_rank",
-            "br2_algebraic",
-            "br1_equals_br0",
-            "br_bar_2_invariants_zero",
-        ):
-            conclusions[key] = {"value": None, "source": "WITHHELD", "citation": CITATIONS[key]}
     conclusions["odd_part_unobstructed_note"] = {
         "value": CITATIONS["odd_part_unobstructed_note"],
         "source": "CITED(odd-order-unobstructed)",
         "citation": CITATIONS["odd_part_unobstructed_note"],
     }
+    return conclusions
 
-    case_echo = {
-        "factors": [
-            {
-                "poly": [str(c) for c in f.poly.coefficients],
-                "torsor_nontrivial": f.torsor_nontrivial,
-            }
-            for f in case.factors
-        ],
+
+def _case_echo(case):
+    factors = [
+        {"poly": [str(c) for c in f.poly.coefficients], "torsor_nontrivial": f.torsor_nontrivial}
+        for f in case.factors
+    ]
+    return {
+        "factors": factors,
         "prime_bound": case.prime_bound,
         "mode": case.mode,
-        "g": g,
-        "n": n,
+        "g": case.g,
+        "n": len(case.factors),
     }
-    return VerdictReport(
-        case=case_echo,
-        hypotheses=hypotheses,
-        equivariant_audit=audit,
-        conclusions=conclusions,
-        citations=sorted(set(CITATIONS.values())),
-    )
 
 
 def _cross_hom_dims(modules, prod_group):

@@ -24,16 +24,6 @@ class ZMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, m, n):
-        return cls([[0] * n for _ in range(m)])
-
-    def copy(self):
-        return ZMatrix(self.data)
-
-    def transpose(self):
-        return ZMatrix([list(c) for c in zip(*self.data)]) if self.data else ZMatrix([])
-
     def __mul__(self, other):
         assert self.ncols == other.nrows
         bt = list(zip(*other.data))

@@ -232,6 +232,8 @@ def _oracle_case_modules():
         with_character(trivial_module(symmetric_group(5), 1, 3), [2, 1]),
         _linear_part_module(twisted),
         product_factor_module([standard_module(5, "S"), standard_module(3, "S")]),
+        product_factor_module([standard_module(3, "S")] * 3),
+        product_factor_module([standard_module(5, "A"), standard_module(3, "S")]),
     ]
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kummer.errors import BadPrime, EvenDegree, Inseparable, ZeroInput
+from kummer.errors import BadPrime, EvenDegree, Inseparable, InputError, ZeroInput
 from kummer.galois import (
     RAMIFIED,
     IntPolynomial,
@@ -20,6 +20,13 @@ from oracles import resultant_by_cofactor
 
 X5 = IntPolynomial((1, -1, 0, 0, 0, 1))  # x^5 - x + 1
 X3 = IntPolynomial((-1, -1, 0, 1))  # x^3 - x - 1
+
+
+@pytest.mark.parametrize("bad", [1.7, "12", True])
+def test_polynomial_refuses_non_integer_coefficients(bad):
+    # 1.7 must not truncate to 1, "12" must not parse, True must not read as 1
+    with pytest.raises(InputError):
+        IntPolynomial((bad, 1))
 
 
 def test_disc_x5_frozen_against_cofactor_oracle():

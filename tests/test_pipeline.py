@@ -1,7 +1,10 @@
 import pytest
 
-from kummer.errors import GroupCheckFailed, InputError
+from kummer import pipeline
+from kummer.errors import EngineError, GroupCheckFailed, InputError
 from kummer.galois import IntPolynomial
+from kummer.groups import FiniteGroup
+from kummer.picard import EQUIVARIANT_G_CAP
 from kummer.pipeline import (
     HYPOTHESIS_CHECKS,
     PRIME_BOUND_MAX,
@@ -11,6 +14,7 @@ from kummer.pipeline import (
     parse_case,
     run_case,
 )
+from kummer.reps import GModule
 
 X5 = IntPolynomial((1, -1, 0, 0, 0, 1))
 X3 = IntPolynomial((-1, -1, 0, 1))
@@ -129,6 +133,53 @@ def test_beyond_lattice_cap_fails_closed():
     assert not rep.asserted
     withheld = rep.conclusions["withheld_because"]
     assert "pi1_cohomology" in withheld and "pic_model_cohomology" in withheld
+
+
+X7 = IntPolynomial((-1, -1, 0, 0, 0, 0, 0, 1))  # x^7 - x - 1
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        # S_7 x S_7 has order 25401600, past the enumeration cap
+        (X7, IntPolynomial((-3, -1, 0, 0, 0, 0, 0, 1))),
+        (X5, X7),
+    ],
+    ids=["g6-septic-pair", "g5-quintic-septic"],
+)
+def test_beyond_lattice_cap_never_enumerates_the_product(polys, monkeypatch):
+    enumerated = []
+    real = FiniteGroup.enumerate
+
+    def recording(group):
+        enumerated.append(group.name)
+        return real(group)
+
+    monkeypatch.setattr(FiniteGroup, "enumerate", recording)
+    case = CaseInput(tuple(FactorInput(p, False) for p in polys), prime_bound=500)
+    rep = run_case(case)
+    assert "S7" in enumerated and not any(" x " in name for name in enumerated)
+    assert [h["passed"] for h in rep.hypotheses[:4]] == [True] * 4
+    assert rep.conclusions["withheld_because"] == ["pi1_cohomology", "pic_model_cohomology"]
+    skip = f"total dimension g = {case.g} beyond the lattice cap g <= {EQUIVARIANT_G_CAP}"
+    assert rep.hypotheses[4]["details"] == {"skipped": skip}
+    assert rep.equivariant_audit is None
+
+
+def test_a_module_that_is_no_homomorphism_fails_stage_3(monkeypatch):
+    real = pipeline.standard_module
+
+    def swapped(d, kind):
+        m = real(d, kind)
+        if kind != "S":
+            return m
+        a, b = m.generator_matrices
+        return GModule(m.group, m.dim, m.l, (b, a))
+
+    monkeypatch.setattr(pipeline, "standard_module", swapped)
+    with pytest.raises(EngineError) as excinfo:
+        run_case(example1_case())
+    assert any(entry.name == "_module_stage" for entry in excinfo.traceback)
 
 
 def test_parse_case_roundtrip():
