@@ -192,10 +192,23 @@ def _pdivmod(a, b, p):
     return q, _ptrim(a[: len(b) - 1])
 
 
+def _prem(a, b, p):
+    """a mod b over F_p, skipping the quotient and the top coefficient each step cancels."""
+    a = list(a)
+    n = len(b) - 1
+    binv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = a[i + n] * binv % p
+        if c:
+            for j in range(n):
+                a[i + j] = (a[i + j] - c * b[j]) % p
+    return _ptrim(a[:n])
+
+
 def _pgcd(a, b, p):
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
+        a, b = b, _prem(a, b, p)
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]

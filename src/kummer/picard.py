@@ -221,6 +221,37 @@ def point_permutations(p_group: FiniteGroup):
     return perms
 
 
+def h1_pi1_from_points(perms) -> int:
+    """dim H^1(P, Pi_1) for P generated by permutations s_1..s_k of the points T.
+
+    Z[T] is a permutation module, so H^1(P, Z[T]) = 0 (Shapiro) and H^1(P, Pi_1)
+    is the kernel on Hom(P, Z/2) of the Bockstein of 0 -> Z[T] -> Pi_1 -> Z/2
+    -> 0.  By Shapiro again it sends chi to the Bocksteins of its restrictions
+    to the point stabilisers P_x, each injective as H^1(P_x, Z) = 0.  So
+    H^1(P, Pi_1) = {chi : chi(P_x) = 0 for all x}: the c in F_2^k such that
+    each orbit carries f with f(s_j y) = f(y) + c_j (such a c kills every word
+    fixing a point, so every relation of P).  One BFS gives f(y) as a linear
+    form in c along tree edges; each non-tree edge adds f(s_j y) + f(y) + e_j.
+    """
+    k = len(perms)
+    form = [None] * len(perms[0])
+    ech = gf2.F2Echelon(k)
+    for root in range(len(form)):
+        if form[root] is not None:
+            continue
+        form[root] = 0
+        queue = [root]
+        for y in queue:
+            for j, perm in enumerate(perms):
+                z, t = perm[y], form[y] ^ (1 << j)
+                if form[z] is None:
+                    form[z] = t
+                    queue.append(z)
+                elif form[z] != t:
+                    ech.add(form[z] ^ t)
+    return k - ech.rank
+
+
 def lattice_action_matrices(lat: Lattice, perm):
     """Integer matrix of the coordinate permutation in the basis of lat.
 

@@ -10,20 +10,21 @@ disjointness, module structure, H^1 vanishing, and one equivariant stage for
 the two lattice checks, which share the model and P.  Each stage returns
 ``(passed, details)``, plus what later stages need.  ``run_case`` alone
 handles fault injection, the skips after a failed Galois certification, the
-strict torsor-count rule and the conclusions.  The module checks enumerate
-only the factor groups, never their product, so every input beyond the
-lattice cap (g > 3) gets a withheld report.
+strict torsor-count rule and the conclusions.  No stage enumerates a product
+group (stage 3 reads it through generator matrices, stage 5 works factor by
+factor), so every input beyond the lattice cap (g > 3) gets a withheld report.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
 from .cohomology import cocycle_class_is_nonzero, h1_dim, validate_module
 from .disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
-from .errors import EngineError, FactorBudgetExceeded, GroupCheckFailed, InputError
+from .errors import ActionMismatch, EngineError, FactorBudgetExceeded, GroupCheckFailed, InputError
 from .galois import IntPolynomial, certify_galois
 from .groups import (
     affine,
@@ -43,7 +44,9 @@ from .picard import (
     canonical_class,
     canonical_class_in_pi1,
     equivariant_lattice,
+    h1_pi1_from_points,
     numerology,
+    point_permutations,
     torsor_factor_group,
 )
 from .reps import (
@@ -354,10 +357,24 @@ def _h1_stage(modules):
     return all(e["h1"] == 0 for e in details), details
 
 
+_MODELS = {}  # g -> the verified lattice model, which depends on g alone
+
+
 def _equivariant_stage(case, modules):
-    """(5)+(6) Equivariant audit over the torsor Galois group P = prod P_i:
-    H^1(P, Pi_1) and the assembled H^1 of the Picard model.  Returns the
-    (passed, details) pairs of both checks.
+    """(5)+(6) Equivariant audit over the torsor Galois group P = prod P_i,
+    P_i = ``torsor_factor_group(V_i, flag_i)``: H^1(P, Pi_1) and the assembled
+    H^1 of the Picard model.  Returns the (passed, details) pairs of both
+    checks.  P is never enumerated, only each P_i.
+
+    H^1(P, Pi_1) comes from the Schreier graph of P on the 2^{2g} points
+    (``h1_pi1_from_points``).  V_i is inflated from P_i, and for P = P_i x P'
+    inflation-restriction gives H^1(P, V_i) = H^1(P_i, V_i) + Hom(P', V_i^{P_i})
+    (Brown, Cohomology of Groups, ch. III).  V_i^{P_i} = V_i^{G_i}, which
+    stage 3 finds 0; with more than one factor a nonzero one raises.  The
+    torsor cocycle is inflated from P_i, and inflation is injective on H^1,
+    so its class is tested on P_i.  A trivial torsor's P_i, the linear lift
+    of G_i, is faithful on G_i's own points, so it is G_i with the same
+    generator matrices and stage 4's H^1(G_i, V_i) is reused.
 
     The lattice model is desk-bounded: beyond EQUIVARIANT_G_CAP both checks
     fail closed unrun, and every conclusion stays withheld.
@@ -366,23 +383,32 @@ def _equivariant_stage(case, modules):
     if g > EQUIVARIANT_G_CAP:
         skip = f"total dimension g = {g} beyond the lattice cap g <= {EQUIVARIANT_G_CAP}"
         return (False, {"skipped": skip}), (False, {"skipped": skip})
+    if g not in _MODELS:
+        _MODELS[g] = build_nikulin_lattice(g)
+    model = _MODELS[g]
     flags = [f.torsor_nontrivial for f in case.factors]
-    p_group = direct_product(
-        *[torsor_factor_group(mod, flag) for mod, flag in zip(modules, flags)]
-    )
-    eq = equivariant_lattice(build_nikulin_lattice(g), p_group, flags)
-    h1_pi1 = eq.h1_pi1_two_torsion()
-    perm_basis = eq.permutation_basis_exists()
+    factors = [torsor_factor_group(mod, flag) for mod, flag in zip(modules, flags)]
+    perms = point_permutations(direct_product(*factors))
+    if len(perms[0]) != model.ambient_dim:
+        raise ActionMismatch(f"P permutes {len(perms[0])} points, not {model.ambient_dim}")
+    h1_pi1 = h1_pi1_from_points(perms)
+    perm_basis = all(perm[0] == 0 for perm in perms)
     all_trivial = not any(flags)
     pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
     pi1_details = {
-        "group_order": p_group.order(),
+        "group_order": math.prod(p.order() for p in factors),
         "h1_pi1": h1_pi1,
         "pi1_permutation_basis": perm_basis,
         "all_torsors_trivial": all_trivial,
     }
     lines = []
-    for i, (vmod, flag) in enumerate(zip(eq.factor_modules, flags)):
+    for i, (mod, p_i, flag) in enumerate(zip(modules, factors, flags)):
+        if len(modules) > 1 and h0(mod) != 0:
+            raise EngineError(f"V_{i} has invariants: H^1(P, V_{i}) is not H^1(P_{i}, V_{i})")
+        linear, tau = zip(*(affine(s, p_i.blocks[0]) for s in p_i.generators))
+        if not flag and (linear != mod.generator_matrices or any(map(any, tau))):
+            raise ActionMismatch(f"P_{i} is not the linear lift of {mod.group.name}")
+        vmod = GModule(p_i, mod.dim, 2, linear) if flag else mod
         hv = h1_dim(vmod)
         line = {
             "factor": i,
@@ -392,7 +418,7 @@ def _equivariant_stage(case, modules):
             "h1_pic_factor_model": hv,
         }
         if flag:
-            nonzero = cocycle_class_is_nonzero(vmod, eq.tau_cocycles[i])
+            nonzero = cocycle_class_is_nonzero(vmod, tau)
             line["torsor_class_nonzero"] = nonzero
             line["h1_pic_factor_model"] = hv - (1 if nonzero else 0)
         lines.append(line)

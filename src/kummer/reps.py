@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fp
-from .errors import DimTooLarge, GroupMismatch, MissingCharacter
+from .errors import DimensionMismatch, DimTooLarge, EvenDegree, GroupMismatch, MissingCharacter
 from .groups import FiniteGroup, alternating_group, images, symmetric_group
 
 SPIN_DIM_BOUND = 24
@@ -33,13 +33,18 @@ class GModule:
             tuple(tuple(x % self.l for x in row) for row in m)
             for m in self.generator_matrices
         )
-        assert len(self.generator_matrices) == len(self.group.generators)
+        k = len(self.group.generators)
+        if len(self.generator_matrices) != k:
+            raise DimensionMismatch(f"need {k} generator matrices, one per generator")
         for m in self.generator_matrices:
-            assert len(m) == self.dim and all(len(r) == self.dim for r in m)
+            if len(m) != self.dim or any(len(r) != self.dim for r in m):
+                raise DimensionMismatch(f"a generator matrix is not {self.dim} x {self.dim}")
         if self.character is not None:
             self.character = tuple(x % self.l for x in self.character)
-            assert len(self.character) == len(self.group.generators)
-            assert all(x % self.l for x in self.character), "character values must be units"
+            if len(self.character) != k:
+                raise DimensionMismatch(f"need {k} character values, one per generator")
+            if not all(self.character):
+                raise GroupMismatch(f"character values must be units of F_{self.l}")
 
     @property
     def _validated(self) -> bool:
@@ -48,7 +53,8 @@ class GModule:
 
     def bit_rows(self):
         """Packed-row form of the generator matrices (F_2 modules only)."""
-        assert self.l == 2
+        if self.l != 2:
+            raise DimensionMismatch(f"packed rows need an F_2 module, not F_{self.l}")
         return [
             tuple(sum((row[j] & 1) << j for j in range(self.dim)) for row in m)
             for m in self.generator_matrices
@@ -80,7 +86,8 @@ def zero_sum_module(group: FiniteGroup, d: int) -> GModule:
     """
     mats = []
     for s in group.generators:
-        assert len(s) == d
+        if len(s) != d:
+            raise DimensionMismatch(f"a generator acts on {len(s)} points, not {d}")
         img = images(s)
         m = [[0] * (d - 1) for _ in range(d - 1)]
         for i in range(d - 1):
@@ -97,7 +104,8 @@ def standard_module(d: int, kind: str) -> GModule:
     d must be odd, which makes the permutation module split off this
     (d-1)-dimensional direct summand.
     """
-    assert d % 2 == 1 and d >= 3, "odd degree required"
+    if d % 2 == 0 or d < 3:
+        raise EvenDegree(f"the standard module needs an odd degree >= 3, got {d}")
     group = symmetric_group(d) if kind == "S" else alternating_group(d)
     return zero_sum_module(group, d)
 
@@ -112,7 +120,8 @@ def product_factor_module(groups_modules) -> GModule:
 
     mods = list(groups_modules)
     l = mods[0].l
-    assert all(m.l == l for m in mods)
+    if any(m.l != l for m in mods):
+        raise GroupMismatch("the factor modules must share their prime")
     prod = direct_product(*[m.group for m in mods])
     total = sum(m.dim for m in mods)
     offsets = []

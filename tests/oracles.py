@@ -499,6 +499,58 @@ def snf_index(sub, sup):
 
 
 # ---------------------------------------------------------------------------
+# stages 5 and 6 over the enumerated product group
+
+
+def full_product_equivariant_stage(case, modules):
+    """Checks 5 and 6 the direct way: enumerate P = prod P_i, act on the
+    dense Pi_1 model (H^1 as rank_Q - rank_F2 of the stacked [M_s - I]), and
+    harvest each V_i over all of P.  Returns the pipeline stage's
+    ((passed, details), (passed, details)).  It shares torsor_factor_group
+    and the cohomology harvest with the stage; what it checks is the
+    Schreier-graph H^1(P, Pi_1) and the factor-by-factor H^1(P, V_i)."""
+    from kummer.cohomology import cocycle_class_is_nonzero, h1_dim
+    from kummer.groups import direct_product
+    from kummer.picard import build_nikulin_lattice, equivariant_lattice, torsor_factor_group
+
+    flags = [f.torsor_nontrivial for f in case.factors]
+    p_group = direct_product(*[torsor_factor_group(m, flag) for m, flag in zip(modules, flags)])
+    eq = equivariant_lattice(build_nikulin_lattice(case.g), p_group, flags)
+    h1_pi1 = eq.h1_pi1_two_torsion()
+    perm_basis = eq.permutation_basis_exists()
+    all_trivial = not any(flags)
+    pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
+    pi1_details = {
+        "group_order": p_group.order(),
+        "h1_pi1": h1_pi1,
+        "pi1_permutation_basis": perm_basis,
+        "all_torsors_trivial": all_trivial,
+    }
+    lines = []
+    for i, (vmod, flag) in enumerate(zip(eq.factor_modules, flags)):
+        hv = h1_dim(vmod)
+        line = {
+            "factor": i,
+            "torsor_nontrivial": flag,
+            "h1_torsor_group_module": hv,
+            "expected": 1 if flag else 0,
+            "h1_pic_factor_model": hv,
+        }
+        if flag:
+            nonzero = cocycle_class_is_nonzero(vmod, eq.tau_cocycles[i])
+            line["torsor_class_nonzero"] = nonzero
+            line["h1_pic_factor_model"] = hv - (1 if nonzero else 0)
+        lines.append(line)
+    assembled = h1_pi1 + sum(line["h1_pic_factor_model"] for line in lines)
+    pic_ok = pi1_ok and assembled == 0 and all(
+        line["h1_torsor_group_module"] == line["expected"] and line["h1_pic_factor_model"] == 0
+        for line in lines
+    )
+    pic_details = {"factors": lines, "h1_pic_model_assembled": assembled}
+    return (pi1_ok, pi1_details), (pic_ok, pic_details)
+
+
+# ---------------------------------------------------------------------------
 # distinct-degree factorisation mod p, one full powmod per degree
 
 

@@ -24,7 +24,7 @@ from kummer.galois import (
     primes_up_to,
 )
 
-from oracles import ddf_cycle_type, is_ramified_by_gcd
+from oracles import _pdivmod, ddf_cycle_type, is_ramified_by_gcd
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_PRIMES = primes_up_to(60)
@@ -43,6 +43,20 @@ def test_primes_up_to_matches_naive_sieve_in_any_order():
     assert len(primes_up_to(10_000)) == 1229
     assert len(primes_up_to(100_000)) == 9592
     assert primes_up_to(100_003)[-1] == 100_003
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 13, 101, 999_983]),
+    st.lists(st.integers(0, 10**6), max_size=16),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=9),
+)
+def test_remainder_step_matches_the_oracle_division(p, a, b):
+    a = [x % p for x in a]
+    b = [x % p for x in b]
+    if b[-1] == 0:
+        b[-1] = 1
+    assert galois._prem(a, b, p) == _pdivmod(a, b, p)[1] == galois._pdivmod(a, b, p)[1]
 
 
 polys = st.integers(1, 7).flatmap(

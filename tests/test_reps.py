@@ -1,9 +1,10 @@
 import pytest
 
-from kummer.errors import GroupMismatch, MissingCharacter
+from kummer.errors import DimensionMismatch, EvenDegree, GroupMismatch, MissingCharacter
 from kummer.fp import mat_vec
 from kummer.groups import FiniteGroup, from_cycles, images, symmetric_group
 from kummer.reps import (
+    GModule,
     endomorphism_algebra_dim,
     h0,
     hom_module_dim,
@@ -17,6 +18,7 @@ from kummer.reps import (
     wedge2_dual_invariants_dim,
     wedge_square_matrices,
     with_character,
+    zero_sum_module,
 )
 
 
@@ -185,3 +187,43 @@ def test_zero_sum_action_consistency():
             u = permuted[: d - 1]
             basis_vec = [1 if t == i else 0 for t in range(d - 1)]
             assert mat_vec([list(r) for r in mat], basis_vec, 2) == u
+
+
+S3 = symmetric_group(3)
+EYE2 = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: GModule(S3, 2, 2, (EYE2,)), DimensionMismatch),  # one matrix, two generators
+        (lambda: GModule(S3, 2, 2, (EYE2, ((1, 0),))), DimensionMismatch),
+        (lambda: GModule(S3, 2, 2, (EYE2, ((1, 0), (0,)))), DimensionMismatch),
+        (lambda: GModule(S3, 2, 2, (EYE2, EYE2), (1,)), DimensionMismatch),
+        (lambda: GModule(S3, 2, 3, (EYE2, EYE2), (1, 3)), GroupMismatch),  # 3 = 0 in F_3
+        (lambda: GModule(S3, 2, 3, (EYE2, EYE2)).bit_rows(), DimensionMismatch),
+        (lambda: zero_sum_module(S3, 4), DimensionMismatch),
+        (lambda: standard_module(4, "S"), EvenDegree),
+        (lambda: standard_module(1, "S"), EvenDegree),
+        (
+            lambda: product_factor_module([standard_module(3, "S"), trivial_module(S3, 1, 3)]),
+            GroupMismatch,
+        ),
+    ],
+    ids=[
+        "matrix-count",
+        "matrix-rows",
+        "matrix-columns",
+        "character-length",
+        "character-not-a-unit",
+        "bit-rows-off-f2",
+        "zero-sum-points",
+        "even-degree",
+        "degree-one",
+        "product-primes",
+    ],
+)
+def test_module_checks_raise_typed_errors(build, error):
+    # typed errors, not asserts, so the checks survive python -O
+    with pytest.raises(error):
+        build()
