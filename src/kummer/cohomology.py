@@ -38,7 +38,8 @@ class CocycleSpace:
     cocycle_basis: tuple
 
     def __post_init__(self):
-        assert self.h1_dim == self.z1_dim - self.b1_dim
+        if self.h1_dim != self.z1_dim - self.b1_dim:
+            raise GroupCheckFailed(f"h1 {self.h1_dim} != z1 {self.z1_dim} - b1 {self.b1_dim}")
 
 
 def h1(m: GModule) -> CocycleSpace:

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache, reduce
 
 from . import gf2
-from .errors import CapExceeded, DimensionMismatch, GroupCheckFailed
+from .errors import CapExceeded, DimensionMismatch, EvenDegree, GroupCheckFailed, InputError
 
 DEFAULT_CAP = 2_000_000
 MAX_POINTS = 256
@@ -366,7 +366,8 @@ def symmetric_group(d) -> FiniteGroup:
 @lru_cache(maxsize=None)
 def alternating_group(d) -> FiniteGroup:
     """A_d for odd d, from a 3-cycle and the (even) d-cycle."""
-    assert d % 2 == 1 and d >= 3
+    if d % 2 == 0 or d < 3:
+        raise EvenDegree(f"A_d is built for odd d >= 3, got {d}")
     if d == 3:
         gens = [from_cycles(3, [(0, 1, 2)])]
     else:
@@ -376,7 +377,10 @@ def alternating_group(d) -> FiniteGroup:
 
 def group_order_formula(family: str, n: int, l: int) -> int:
     """Closed-form orders of Sp(n, F_l), GSp(n, F_l), PSp(n, F_l); n even."""
-    assert n % 2 == 0 and n >= 2
+    if n % 2 or n < 2:
+        raise InputError(f"symplectic groups need an even n >= 2, got {n}")
+    if family not in ("Sp", "GSp", "PSp"):
+        raise InputError(f"unknown family {family!r}")
     m = n // 2
     sp = l ** (m * m)
     for i in range(1, m + 1):
@@ -385,9 +389,7 @@ def group_order_formula(family: str, n: int, l: int) -> int:
         return sp
     if family == "GSp":
         return sp * (l - 1)
-    if family == "PSp":
-        return sp // math.gcd(2, l - 1)
-    raise ValueError(f"unknown family {family!r}")
+    return sp // math.gcd(2, l - 1)
 
 
 def symplectic_form(n):
@@ -443,7 +445,8 @@ _SP4_DIRECTIONS = [
 @lru_cache(maxsize=None)
 def symplectic_group(n, l) -> FiniteGroup:
     """Sp(n, F_l) generated by symplectic transvections (n = 4 supported)."""
-    assert n == 4, "only the rank-two case is wired up"
+    if n != 4:
+        raise DimensionMismatch(f"only Sp(4, F_l) is wired up, not n = {n}")
     gens = [_linear_action(transvection(v, l, n), l) for v in _SP4_DIRECTIONS]
     return FiniteGroup(
         gens,
@@ -456,7 +459,8 @@ def symplectic_group(n, l) -> FiniteGroup:
 @lru_cache(maxsize=None)
 def general_symplectic_group(n, l) -> FiniteGroup:
     """GSp(n, F_l): Sp generators plus one similitude of factor a primitive root."""
-    assert n == 4
+    if n != 4:
+        raise DimensionMismatch(f"only GSp(4, F_l) is wired up, not n = {n}")
     nu = _primitive_root(l)
     d = [[0] * n for _ in range(n)]
     for i in range(0, n, 2):
@@ -481,5 +485,6 @@ def _primitive_root(l):
             seen.add(x)
         if len(seen) == l - 1:
             return g
-    assert l == 2
+    if l != 2:
+        raise GroupCheckFailed(f"no primitive root mod {l}: l must be prime")
     return 1

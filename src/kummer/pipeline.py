@@ -13,6 +13,15 @@ handles fault injection, the skips after a failed Galois certification, the
 strict torsor-count rule and the conclusions.  No stage enumerates a product
 group (stage 3 reads it through generator matrices, stage 5 works factor by
 factor), so every input beyond the lattice cap (g > 3) gets a withheld report.
+
+What a factor contributes depends only on its signature: the degree d, S_d
+or A_d, and the torsor flag.  So the per-factor checks of stages 3 to 6 are
+computed once per signature in a process (``_factor_facts``,
+``_torsor_facts``), and the lattice model once per g (``_lattice_model``).
+An entry is kept only once all of its checks have passed.  What depends on
+the whole case (the product audit of stage 3, the points of P, H^1(P, Pi_1)
+and the invariants guard of stage 5) is computed on every call, and every
+call builds fresh detail dicts.  The bundled audits recompute everything.
 """
 
 from __future__ import annotations
@@ -21,12 +30,14 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cohomology import cocycle_class_is_nonzero, h1_dim, validate_module
 from .disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
 from .errors import ActionMismatch, EngineError, FactorBudgetExceeded, GroupCheckFailed, InputError
 from .galois import IntPolynomial, certify_galois
 from .groups import (
+    FiniteGroup,
     affine,
     alternating_group,
     direct_product,
@@ -232,9 +243,10 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
         outcomes += [(False, skip), (False, [skip]), (False, [skip]), (False, skip), (False, skip)]
     else:
         outcomes.append(_disjointness_stage(case, certs))
-        structure_ok, structure_details, modules = _module_stage(certs)
-        outcomes += [(structure_ok, structure_details), _h1_stage(modules)]
+        structure_ok, structure_details, facts = _module_stage(certs)
+        outcomes += [(structure_ok, structure_details), _h1_stage(facts)]
         strict = force_fail is None and all(ok for ok, _ in outcomes)
+        modules = [mod for mod, _, _ in facts]
         (pi1_ok, pi1_details), (pic_ok, pic_details) = _equivariant_stage(case, modules)
         outcomes += [(pi1_ok, pi1_details), (pic_ok, pic_details)]
         for line in pic_details.get("factors", ()):
@@ -299,44 +311,53 @@ def _disjointness_stage(case, certs):
     return out.verdict == "Certified" or heuristic, details
 
 
+@lru_cache(maxsize=None)
+def _factor_facts(d, kind):
+    """Stage 3's checks of S_d or A_d on its standard module and stage 4's
+    H^1(G_i, V_i), once per (degree, "S" or "A") in a process: the validated
+    module (its harvest cached on it), stage 3's detail items, from which
+    every call builds its own dict, and h1.  lru_cache keeps no entry for a
+    call that raised."""
+    mod = standard_module(d, kind)
+    validate_module(mod)
+    alt = standard_module(d, "A")
+    end_dim = endomorphism_algebra_dim(mod)
+    abs_simple = is_simple(mod) and end_dim == 1
+    fixed_dim = h0(mod)
+    alt_simple = is_simple(alt)
+    alt_abs = is_absolutely_simple(alt) if d >= 5 else None
+    alt_no_index2 = not has_index_l_normal_subgroup(alternating_group(d), 2)
+    ok = abs_simple and fixed_dim == 0 and alt_simple and alt_no_index2
+    details = {
+        "degree": d,
+        "group": kind,
+        "dim": mod.dim,
+        "endomorphism_dim": end_dim,
+        "absolutely_simple": abs_simple,
+        "fixed_space_dim": fixed_dim,
+        "alternating_restriction_simple": alt_simple,
+        "alternating_restriction_absolutely_simple": alt_abs,
+        "alternating_has_no_index_2_quotient": alt_no_index2,
+        "accepted": ok and alt_abs if d >= 5 else ok,
+    }
+    return mod, tuple(details.items()), h1_dim(mod)
+
+
 def _module_stage(certs):
-    """(3) Module structure: each factor module is validated (its Cayley-graph
-    harvest is cached for stage 4), then absolute simplicity, the alternating
-    restriction, and the wedge-square decomposition audit for the product.
+    """(3) Module structure: each factor module is validated, then absolute
+    simplicity, the alternating restriction, and the wedge-square
+    decomposition audit for the product.
 
     The product module is read only through its generator matrices: a
     product of homomorphisms is a homomorphism, so the product of the factor
-    groups is never enumerated.  Returns (passed, details, modules).
+    groups is never enumerated.  Returns (passed, details, factor facts).
     """
-    modules, details = [], []
-    for cert in certs:
-        d = cert.degree
-        kind = "S" if cert.verdict == "SymmetricGroup" else "A"
-        mod = standard_module(d, kind)
-        validate_module(mod)
-        alt = standard_module(d, "A")
-        end_dim = endomorphism_algebra_dim(mod)
-        abs_simple = is_simple(mod) and end_dim == 1
-        fixed_dim = h0(mod)
-        alt_simple = is_simple(alt)
-        alt_abs = is_absolutely_simple(alt) if d >= 5 else None
-        alt_no_index2 = not has_index_l_normal_subgroup(alternating_group(d), 2)
-        ok = abs_simple and fixed_dim == 0 and alt_simple and alt_no_index2
-        details.append(
-            {
-                "degree": d,
-                "group": kind,
-                "dim": mod.dim,
-                "endomorphism_dim": end_dim,
-                "absolutely_simple": abs_simple,
-                "fixed_space_dim": fixed_dim,
-                "alternating_restriction_simple": alt_simple,
-                "alternating_restriction_absolutely_simple": alt_abs,
-                "alternating_has_no_index_2_quotient": alt_no_index2,
-                "accepted": ok and alt_abs if d >= 5 else ok,
-            }
-        )
-        modules.append(mod)
+    facts = [
+        _factor_facts(cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A")
+        for cert in certs
+    ]
+    details = [dict(items) for _, items, _ in facts]
+    modules = [mod for mod, _, _ in facts]
     prod = product_factor_module(modules)
     prod = with_character(prod, [1] * len(prod.group.generators))
     wedge_total = wedge2_dual_invariants_dim(prod)
@@ -348,16 +369,59 @@ def _module_stage(certs):
     }
     ok = wedge_total == len(modules) and all(v == 0 for v in cross.values())
     details.append({"decomposition_audit": decomposition, "accepted": ok})
-    return all(e["accepted"] for e in details), details, modules
+    return all(e["accepted"] for e in details), details, facts
 
 
-def _h1_stage(modules):
+def _h1_stage(facts):
     """(4) H^1(G_i, V_i) = 0 per factor."""
-    details = [{"group": m.group.name, "dim": m.dim, "h1": h1_dim(m)} for m in modules]
+    details = [{"group": m.group.name, "dim": m.dim, "h1": h1} for m, _, h1 in facts]
     return all(e["h1"] == 0 for e in details), details
 
 
-_MODELS = {}  # g -> the verified lattice model, which depends on g alone
+@lru_cache(maxsize=None)
+def _lattice_model(g):
+    """The verified lattice model, which depends on g alone, once per process."""
+    return build_nikulin_lattice(g)
+
+
+@lru_cache(maxsize=None)
+def _torsor_facts(d, kind, flag):
+    """P_i = ``torsor_factor_group(V_i, flag)``, its H^1(P_i, V_i) and the
+    torsor class, once per (degree, "S" or "A", torsor flag) in a process:
+    P_i's generators and blocks of points, |P_i|, and stage 6's detail items
+    for the factor less its index.  P_i's elements are not kept.  A trivial
+    torsor's P_i must be the linear lift of G_i, so V_i keeps G_i's module
+    and its cached harvest."""
+    mod = _factor_facts(d, kind)[0]
+    p_i = torsor_factor_group(mod, flag)
+    linear, tau = zip(*(affine(s, p_i.blocks[0]) for s in p_i.generators))
+    if not flag and (linear != mod.generator_matrices or any(map(any, tau))):
+        raise ActionMismatch(f"the trivial torsor group of {mod.group.name} is not its linear lift")
+    vmod = GModule(p_i, mod.dim, 2, linear) if flag else mod
+    hv = h1_dim(vmod)
+    line = {
+        "torsor_nontrivial": flag,
+        "h1_torsor_group_module": hv,
+        "expected": 1 if flag else 0,
+        "h1_pic_factor_model": hv,
+    }
+    if flag:
+        nonzero = cocycle_class_is_nonzero(vmod, tau)
+        line["torsor_class_nonzero"] = nonzero
+        line["h1_pic_factor_model"] = hv - (1 if nonzero else 0)
+    return tuple(p_i.generators), p_i.blocks, p_i.order(), tuple(line.items())
+
+
+def _signature(mod):
+    """(degree, "S" or "A") of a standard factor module, checked to be the
+    memo's module for that signature, so the memo answers for this one."""
+    group = mod.group
+    kind = "A" if all(map(is_even, group.generators)) else "S"
+    known = _factor_facts(group.degree, kind)[0]
+    same = known.group.generators == group.generators
+    if not same or known.generator_matrices != mod.generator_matrices:
+        raise ActionMismatch(f"{group.name} on F_2^{mod.dim} is not a standard factor module")
+    return group.degree, kind
 
 
 def _equivariant_stage(case, modules):
@@ -376,6 +440,10 @@ def _equivariant_stage(case, modules):
     of G_i, is faithful on G_i's own points, so it is G_i with the same
     generator matrices and stage 4's H^1(G_i, V_i) is reused.
 
+    Each P_i's generators, order, H^1 and torsor class come from
+    ``_torsor_facts``, once per (degree, S/A, flag) in a process; the points
+    of P, H^1(P, Pi_1) and the invariants guard are computed on every call.
+
     The lattice model is desk-bounded: beyond EQUIVARIANT_G_CAP both checks
     fail closed unrun, and every conclusion stays withheld.
     """
@@ -383,12 +451,11 @@ def _equivariant_stage(case, modules):
     if g > EQUIVARIANT_G_CAP:
         skip = f"total dimension g = {g} beyond the lattice cap g <= {EQUIVARIANT_G_CAP}"
         return (False, {"skipped": skip}), (False, {"skipped": skip})
-    if g not in _MODELS:
-        _MODELS[g] = build_nikulin_lattice(g)
-    model = _MODELS[g]
+    model = _lattice_model(g)
     flags = [f.torsor_nontrivial for f in case.factors]
-    factors = [torsor_factor_group(mod, flag) for mod, flag in zip(modules, flags)]
-    perms = point_permutations(direct_product(*factors))
+    facts = [_torsor_facts(*_signature(mod), flag) for mod, flag in zip(modules, flags)]
+    p_group = direct_product(*(FiniteGroup(gens, blocks=blocks) for gens, blocks, _, _ in facts))
+    perms = point_permutations(p_group)
     if len(perms[0]) != model.ambient_dim:
         raise ActionMismatch(f"P permutes {len(perms[0])} points, not {model.ambient_dim}")
     h1_pi1 = h1_pi1_from_points(perms)
@@ -396,32 +463,16 @@ def _equivariant_stage(case, modules):
     all_trivial = not any(flags)
     pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
     pi1_details = {
-        "group_order": math.prod(p.order() for p in factors),
+        "group_order": math.prod(order for _, _, order, _ in facts),
         "h1_pi1": h1_pi1,
         "pi1_permutation_basis": perm_basis,
         "all_torsors_trivial": all_trivial,
     }
     lines = []
-    for i, (mod, p_i, flag) in enumerate(zip(modules, factors, flags)):
+    for i, (mod, (*_, line)) in enumerate(zip(modules, facts)):
         if len(modules) > 1 and h0(mod) != 0:
             raise EngineError(f"V_{i} has invariants: H^1(P, V_{i}) is not H^1(P_{i}, V_{i})")
-        linear, tau = zip(*(affine(s, p_i.blocks[0]) for s in p_i.generators))
-        if not flag and (linear != mod.generator_matrices or any(map(any, tau))):
-            raise ActionMismatch(f"P_{i} is not the linear lift of {mod.group.name}")
-        vmod = GModule(p_i, mod.dim, 2, linear) if flag else mod
-        hv = h1_dim(vmod)
-        line = {
-            "factor": i,
-            "torsor_nontrivial": flag,
-            "h1_torsor_group_module": hv,
-            "expected": 1 if flag else 0,
-            "h1_pic_factor_model": hv,
-        }
-        if flag:
-            nonzero = cocycle_class_is_nonzero(vmod, tau)
-            line["torsor_class_nonzero"] = nonzero
-            line["h1_pic_factor_model"] = hv - (1 if nonzero else 0)
-        lines.append(line)
+        lines.append({"factor": i, **dict(line)})
     assembled = h1_pi1 + sum(line["h1_pic_factor_model"] for line in lines)
     pic_ok = pi1_ok and assembled == 0 and all(
         line["h1_torsor_group_module"] == line["expected"] and line["h1_pic_factor_model"] == 0

@@ -1,7 +1,20 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 # make the package importable without installation, and the oracle helpers too
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from kummer import pipeline  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def cold_pipeline_memo():
+    """Start every test with the pipeline's per-process memo empty, so a test
+    that counts enumerations or patches a stage helper sees the computation
+    run, whatever earlier tests left in the memo."""
+    for memo in (pipeline._factor_facts, pipeline._torsor_facts, pipeline._lattice_model):
+        memo.cache_clear()

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from kummer.cohomology import (
+    CocycleSpace,
     cocycle_class_is_nonzero,
     h1,
     h1_dim,
     is_cocycle,
     validate_module,
 )
-from kummer.errors import EngineError
+from kummer.errors import EngineError, GroupCheckFailed
 from kummer.groups import (
     FiniteGroup,
     affine,
@@ -309,3 +310,9 @@ def test_image_larger_than_the_group_fails_closed(monkeypatch):
     with pytest.raises(EngineError):
         h1(bad)
     assert len(calls) < 4 * 2
+
+
+def test_cocycle_space_refuses_inconsistent_dimensions():
+    m = standard_module(5, "S")
+    with pytest.raises(GroupCheckFailed):
+        CocycleSpace(m, z1_dim=4, b1_dim=4, h1_dim=1, cocycle_basis=())

@@ -1,8 +1,9 @@
 import pytest
 
-from kummer.errors import CapExceeded, DimensionMismatch, GroupCheckFailed
+from kummer.errors import CapExceeded, DimensionMismatch, EvenDegree, GroupCheckFailed, InputError
 from kummer.groups import (
     FiniteGroup,
+    _primitive_root,
     affine,
     alternating_group,
     direct_product,
@@ -264,3 +265,22 @@ def test_oracle_bfs_two_factor_direct_product():
         g, gens, ident, lambda x: ("x", _affine_key(x, 2, 3), _perm_key(x, 7, 4))
     )
     assert g.order() == 24 * 24
+
+
+@pytest.mark.parametrize(
+    "build,args,error",
+    [
+        (alternating_group, (4,), EvenDegree),
+        (alternating_group, (1,), EvenDegree),
+        (group_order_formula, ("Sp", 3, 3), InputError),
+        (group_order_formula, ("SL", 4, 3), InputError),
+        (symplectic_group, (2, 3), DimensionMismatch),
+        (general_symplectic_group, (6, 3), DimensionMismatch),
+        (_primitive_root, (8,), GroupCheckFailed),
+    ],
+    ids=["A4", "A1", "odd-n", "unknown-family", "Sp2", "GSp6", "no-primitive-root"],
+)
+def test_bad_group_parameters_raise_typed_errors(build, args, error):
+    # raised, not asserted, so python -O cannot build S_4 under the name A4
+    with pytest.raises(error):
+        build(*args)
