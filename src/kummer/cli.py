@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import EngineError, InputError
 from .pipeline import (
@@ -34,7 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built on first use and then reused: parsing
+    leaves it unchanged, so one parser serves every call of ``main``."""
     p = _Parser(
         prog="verify",
         description="Verify Picard/Brauer hypotheses and conclusions for Kummer "

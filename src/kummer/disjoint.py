@@ -79,9 +79,8 @@ def squarefree_kernel(n: int, trial_bound: int = 100_000, rho_budget: int = 400_
     return tuple(sorted(support)), sign
 
 
-def disc_class(f: IntPolynomial) -> DiscClass:
-    """Squarefree kernel of disc(f) as a class in Q*/Q*^2."""
-    d = discriminant(f)
+def disc_class(d: int) -> DiscClass:
+    """Squarefree kernel of a discriminant d as a class in Q*/Q*^2."""
     if d == 0:
         raise ZeroInput("zero discriminant has no class in Q*/Q*^2")
     support, sign = squarefree_kernel(d)

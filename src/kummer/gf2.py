@@ -7,6 +7,8 @@ cocycle solvers, which push on the order of 10^5 - 10^6 row operations.
 
 from __future__ import annotations
 
+from .errors import DimensionMismatch
+
 
 class F2Matrix:
     """Matrix over F_2; ``rows[i]`` is an int, bit j = entry (i, j)."""
@@ -17,10 +19,12 @@ class F2Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = list(rows) if rows is not None else [0] * nrows
-        assert len(self.rows) == nrows
+        if len(self.rows) != nrows:
+            raise DimensionMismatch(f"{len(self.rows)} rows for a matrix of {nrows}")
         if ncols < 64:  # cheap sanity on small widths only
             mask = (1 << ncols) - 1
-            assert all(r & ~mask == 0 for r in self.rows)
+            if any(r & ~mask for r in self.rows):
+                raise DimensionMismatch(f"a row has a bit beyond column {ncols}")
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "F2Matrix":
@@ -30,7 +34,8 @@ class F2Matrix:
             ncols = len(rows[0]) if rows else 0
         packed = []
         for r in rows:
-            assert len(r) == ncols
+            if len(r) != ncols:
+                raise DimensionMismatch(f"a row of length {len(r)} in a matrix of {ncols} columns")
             acc = 0
             for j, v in enumerate(r):
                 if v & 1:

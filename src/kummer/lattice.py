@@ -12,7 +12,7 @@ import math
 from math import gcd
 
 from . import gf2
-from .errors import DimensionMismatch, LatticeCheckFailed, NotASublattice
+from .errors import DimensionMismatch, InputError, LatticeCheckFailed, NotASublattice
 from .smith import ZMatrix, _snf, hermite_rows
 
 
@@ -27,9 +27,11 @@ class Lattice:
     __slots__ = ("ambient_dim", "basis", "den", "_steps", "_free")
 
     def __init__(self, ambient_dim, basis_rows, den=1, _canonical=False):
-        assert den > 0
+        if den <= 0:
+            raise InputError(f"the denominator must be positive, got {den}")
         rows = [list(r) for r in basis_rows]
-        assert all(len(r) == ambient_dim for r in rows)
+        if any(len(r) != ambient_dim for r in rows):
+            raise DimensionMismatch(f"a basis row is not of length {ambient_dim}")
         if not _canonical:
             rows = hermite_rows(rows, ambient_dim)
         # minimal denominator: strip common factors shared with den

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import gf2
-from .errors import ActionMismatch, GTooLarge, LatticeCheckFailed, NotASublattice
+from .errors import ActionMismatch, GTooLarge, InputError, LatticeCheckFailed, NotASublattice
 from .groups import FiniteGroup, affine, affine_extension, images
 from .lattice import Lattice, lattice_index
 from .reps import GModule
@@ -151,7 +151,8 @@ def numerology(g: int, ns_rank: int):
         raise GTooLarge("the model needs g >= 2")
     if g > NUMEROLOGY_G_CAP:
         raise GTooLarge(f"numerology capped at g <= {NUMEROLOGY_G_CAP}")
-    assert ns_rank >= 1
+    if ns_rank < 1:
+        raise InputError(f"the Neron-Severi rank must be at least 1, got {ns_rank}")
     n = 1 << (2 * g)
     picard = n + ns_rank
     betti = [0] * (2 * g + 1)
@@ -159,7 +160,8 @@ def numerology(g: int, ns_rank: int):
     for i in range(1, g):
         betti[2 * i] = math.comb(2 * g, 2 * i) + n
     h2 = g * (2 * g - 1) + n
-    assert betti[2] == h2, "b_2 must equal dim H^2"
+    if betti[2] != h2:
+        raise LatticeCheckFailed(f"b_2 = {betti[2]} but dim H^2 = {h2}")
     return {"picard_rank": picard, "betti": betti, "h2_dim": h2}
 
 

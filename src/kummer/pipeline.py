@@ -18,10 +18,14 @@ What a factor contributes depends only on its signature: the degree d, S_d
 or A_d, and the torsor flag.  So the per-factor checks of stages 3 to 6 are
 computed once per signature in a process (``_factor_facts``,
 ``_torsor_facts``), and the lattice model once per g (``_lattice_model``).
-An entry is kept only once all of its checks have passed.  What depends on
-the whole case (the product audit of stage 3, the points of P, H^1(P, Pi_1)
-and the invariants guard of stage 5) is computed on every call, and every
-call builds fresh detail dicts.  The bundled audits recompute everything.
+What the product contributes depends only on the tuple of its factors'
+signatures, in factor order: stage 3's product audit is computed once per
+tuple of (degree, S/A) (``_product_audit``), and stage 5's points of P and
+H^1(P, Pi_1) once per tuple of (degree, S/A, flag) (``_pi1_facts``).  An
+entry is kept only once all of its checks have passed.  Every call still
+reads each factor's signature off its module and checks it against the memo,
+runs the invariants guard, the strict torsor-count rule and fault injection,
+and builds fresh detail dicts.  The bundled audits recompute everything.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import lru_cache
 from .cohomology import cocycle_class_is_nonzero, h1_dim, validate_module
 from .disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
 from .errors import ActionMismatch, EngineError, FactorBudgetExceeded, GroupCheckFailed, InputError
-from .galois import IntPolynomial, certify_galois
+from .galois import IntPolynomial, certify_galois, discriminant
 from .groups import (
     FiniteGroup,
     affine,
@@ -290,7 +294,7 @@ def _galois_stage(case):
 def _disjointness_stage(case, certs):
     """(2) Linear disjointness of the splitting fields."""
     try:
-        classes = [disc_class(f.poly) for f in case.factors]
+        classes = [disc_class(cert.discriminant) for cert in certs]
         out = certify_family_disjoint(certs, classes)
     except FactorBudgetExceeded as exc:
         return case.mode == "heuristic", {"verdict": "HeuristicOnly", "reason": str(exc)}
@@ -352,24 +356,33 @@ def _module_stage(certs):
     product of homomorphisms is a homomorphism, so the product of the factor
     groups is never enumerated.  Returns (passed, details, factor facts).
     """
-    facts = [
-        _factor_facts(cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A")
-        for cert in certs
-    ]
+    sigs = tuple(
+        (cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A") for cert in certs
+    )
+    facts = [_factor_facts(*sig) for sig in sigs]
     details = [dict(items) for _, items, _ in facts]
-    modules = [mod for mod, _, _ in facts]
+    wedge_total, cross = _product_audit(sigs)
+    decomposition = {
+        "wedge2_invariants_total": wedge_total,
+        "expected_total": len(sigs),
+        "cross_hom_dims": dict(cross),
+    }
+    ok = wedge_total == len(sigs) and all(v == 0 for _, v in cross)
+    details.append({"decomposition_audit": decomposition, "accepted": ok})
+    return all(e["accepted"] for e in details), details, facts
+
+
+@lru_cache(maxsize=None)
+def _product_audit(sigs):
+    """Stage 3's wedge-square decomposition audit of the product module, once
+    per tuple of factor signatures ((degree, "S" or "A"), ...) in factor
+    order: the wedge-square invariants total and the cross-Hom dims as
+    items, from which every call builds its own dict."""
+    modules = [_factor_facts(*sig)[0] for sig in sigs]
     prod = product_factor_module(modules)
     prod = with_character(prod, [1] * len(prod.group.generators))
     wedge_total = wedge2_dual_invariants_dim(prod)
-    cross = _cross_hom_dims(modules, prod.group)
-    decomposition = {
-        "wedge2_invariants_total": wedge_total,
-        "expected_total": len(modules),
-        "cross_hom_dims": cross,
-    }
-    ok = wedge_total == len(modules) and all(v == 0 for v in cross.values())
-    details.append({"decomposition_audit": decomposition, "accepted": ok})
-    return all(e["accepted"] for e in details), details, facts
+    return wedge_total, tuple(_cross_hom_dims(modules, prod.group).items())
 
 
 def _h1_stage(facts):
@@ -441,8 +454,11 @@ def _equivariant_stage(case, modules):
     generator matrices and stage 4's H^1(G_i, V_i) is reused.
 
     Each P_i's generators, order, H^1 and torsor class come from
-    ``_torsor_facts``, once per (degree, S/A, flag) in a process; the points
-    of P, H^1(P, Pi_1) and the invariants guard are computed on every call.
+    ``_torsor_facts``, once per (degree, S/A, flag) in a process, and the
+    points of P and H^1(P, Pi_1) from ``_pi1_facts``, once per tuple of
+    those signatures.  Every call reads each signature off its module
+    (``_signature``, which refuses a module the memo was not filled from)
+    and runs the invariants guard on stage 3's fixed-space dimension.
 
     The lattice model is desk-bounded: beyond EQUIVARIANT_G_CAP both checks
     fail closed unrun, and every conclusion stays withheld.
@@ -451,15 +467,10 @@ def _equivariant_stage(case, modules):
     if g > EQUIVARIANT_G_CAP:
         skip = f"total dimension g = {g} beyond the lattice cap g <= {EQUIVARIANT_G_CAP}"
         return (False, {"skipped": skip}), (False, {"skipped": skip})
-    model = _lattice_model(g)
     flags = [f.torsor_nontrivial for f in case.factors]
-    facts = [_torsor_facts(*_signature(mod), flag) for mod, flag in zip(modules, flags)]
-    p_group = direct_product(*(FiniteGroup(gens, blocks=blocks) for gens, blocks, _, _ in facts))
-    perms = point_permutations(p_group)
-    if len(perms[0]) != model.ambient_dim:
-        raise ActionMismatch(f"P permutes {len(perms[0])} points, not {model.ambient_dim}")
-    h1_pi1 = h1_pi1_from_points(perms)
-    perm_basis = all(perm[0] == 0 for perm in perms)
+    sigs = tuple((*_signature(mod), flag) for mod, flag in zip(modules, flags))
+    facts = [_torsor_facts(*sig) for sig in sigs]
+    h1_pi1, perm_basis = _pi1_facts(sigs)
     all_trivial = not any(flags)
     pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
     pi1_details = {
@@ -469,8 +480,9 @@ def _equivariant_stage(case, modules):
         "all_torsors_trivial": all_trivial,
     }
     lines = []
-    for i, (mod, (*_, line)) in enumerate(zip(modules, facts)):
-        if len(modules) > 1 and h0(mod) != 0:
+    for i, ((d, kind, _), (*_, line)) in enumerate(zip(sigs, facts)):
+        fixed_dim = dict(_factor_facts(d, kind)[1])["fixed_space_dim"]
+        if len(sigs) > 1 and fixed_dim != 0:
             raise EngineError(f"V_{i} has invariants: H^1(P, V_{i}) is not H^1(P_{i}, V_{i})")
         lines.append({"factor": i, **dict(line)})
     assembled = h1_pi1 + sum(line["h1_pic_factor_model"] for line in lines)
@@ -480,6 +492,22 @@ def _equivariant_stage(case, modules):
     )
     pic_details = {"factors": lines, "h1_pic_model_assembled": assembled}
     return (pi1_ok, pi1_details), (pic_ok, pic_details)
+
+
+@lru_cache(maxsize=None)
+def _pi1_facts(sigs):
+    """H^1(P, Pi_1) and whether P fixes the point 0, once per tuple of factor
+    signatures ((degree, "S" or "A", torsor flag), ...) in factor order.  P
+    is the direct product of the P_i of ``_torsor_facts``, read only through
+    its permutations of the points, whose number is checked against the
+    lattice model's ambient dimension."""
+    facts = [_torsor_facts(*sig) for sig in sigs]
+    p_group = direct_product(*(FiniteGroup(gens, blocks=blocks) for gens, blocks, _, _ in facts))
+    perms = point_permutations(p_group)
+    model = _lattice_model(sum((d - 1) // 2 for d, _, _ in sigs))
+    if len(perms[0]) != model.ambient_dim:
+        raise ActionMismatch(f"P permutes {len(perms[0])} points, not {model.ambient_dim}")
+    return h1_pi1_from_points(perms), all(perm[0] == 0 for perm in perms)
 
 
 def _conclusions(case, failing):
@@ -596,7 +624,7 @@ def audit_example_2_goursat() -> dict:
     sp_inside = all(t in kg for t in sp.generators)
 
     sextic = IntPolynomial((5, -8, 4, 0, 4, -8, 4))
-    cls = _dc(sextic)
+    cls = _dc(discriminant(sextic))
 
     return {
         "s6": {

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DimensionMismatch
+
 
 class ZMatrix:
     """Dense integer matrix, rows as lists of arbitrary-precision ints."""
@@ -18,14 +20,16 @@ class ZMatrix:
         self.data = [list(r) for r in data]
         self.nrows = len(self.data)
         self.ncols = len(self.data[0]) if self.data else 0
-        assert all(len(r) == self.ncols for r in self.data)
+        if any(len(r) != self.ncols for r in self.data):
+            raise DimensionMismatch(f"rows of unequal lengths in a {self.nrows}-row matrix")
 
     @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __mul__(self, other):
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise DimensionMismatch(f"cannot multiply {self.ncols} columns by {other.nrows} rows")
         bt = list(zip(*other.data))
         return ZMatrix(
             [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.data]
@@ -251,7 +255,8 @@ def bareiss_det(rows):
     n = len(a)
     if n == 0:
         return 1
-    assert all(len(r) == n for r in a)
+    if any(len(r) != n for r in a):
+        raise DimensionMismatch(f"not a square matrix: {n} rows, not all of length {n}")
     sign = 1
     prev = 1
     for k in range(n - 1):

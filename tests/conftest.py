@@ -11,10 +11,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from kummer import pipeline  # noqa: E402
 
 
+def clear_pipeline_memo():
+    for memo in (
+        pipeline._factor_facts,
+        pipeline._torsor_facts,
+        pipeline._lattice_model,
+        pipeline._product_audit,
+        pipeline._pi1_facts,
+    ):
+        memo.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_pipeline_memo():
     """Start every test with the pipeline's per-process memo empty, so a test
     that counts enumerations or patches a stage helper sees the computation
     run, whatever earlier tests left in the memo."""
-    for memo in (pipeline._factor_facts, pipeline._torsor_facts, pipeline._lattice_model):
-        memo.cache_clear()
+    clear_pipeline_memo()

@@ -3,7 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from kummer.cli import main
+import pytest
+
+from kummer.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
@@ -164,3 +166,29 @@ def test_help_exits_zero():
     out = subprocess.run([sys.executable, "-m", "kummer.cli", "--help"], capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "--prime-bound" in out.stdout
+
+
+def test_one_process_reuses_the_parser(tmp_path, capsys):
+    # each call's report equals a fresh process's, whatever the calls before
+    # it parsed; a rejected line and --help still exit 1 and 0 afterwards
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    case = ["--input", str(CASES / "two_jacobians.json")]
+    for flags in (
+        ["--mode", "heuristic"],
+        ["--prime-bound", "50"],
+        ["--force-fail", "h1_vanishing"],
+        [],
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "kummer.cli", *case, *flags], capture_output=True, env=env
+        )
+        report = tmp_path / "report.json"
+        assert main([*case, *flags, "--report", str(report)]) == fresh.returncode, flags
+        assert report.read_bytes() == fresh.stdout, flags
+    assert main([*case, "--prime-bound", "1e7"]) == 1
+    assert "input error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    assert "--prime-bound" in capsys.readouterr().out
+    assert build_parser.cache_info().misses == 1

@@ -10,7 +10,7 @@ from kummer.disjoint import (
     squarefree_kernel,
 )
 from kummer.errors import InputMismatch
-from kummer.galois import GaloisCertificate, IntPolynomial, certify_galois, disc_is_square
+from kummer.galois import GaloisCertificate, IntPolynomial, certify_galois, disc_is_square, discriminant
 
 X5 = IntPolynomial((1, -1, 0, 0, 0, 1))
 X3 = IntPolynomial((-1, -1, 0, 1))
@@ -21,9 +21,9 @@ def _cert(verdict, degree, disc=1):
 
 
 def test_disc_classes():
-    assert disc_class(X5) == DiscClass((19, 151), 1)
-    assert disc_class(X3) == DiscClass((23,), -1)
-    assert disc_class(IntPolynomial((-2, 0, 1))) == DiscClass((2,), 1)
+    assert disc_class(discriminant(X5)) == DiscClass((19, 151), 1)
+    assert disc_class(discriminant(X3)) == DiscClass((23,), -1)
+    assert disc_class(discriminant(IntPolynomial((-2, 0, 1)))) == DiscClass((2,), 1)
 
 
 def test_squarefree_kernel():
@@ -35,7 +35,7 @@ def test_squarefree_kernel():
 
 def test_family_s5_s3_certified():
     certs = [certify_galois(X5, 200), certify_galois(X3, 200)]
-    classes = [disc_class(X5), disc_class(X3)]
+    classes = [disc_class(discriminant(X5)), disc_class(discriminant(X3))]
     out = certify_family_disjoint(certs, classes)
     assert out.verdict == "Certified"
     # oracle: each disc and their product are non-squares
@@ -47,7 +47,7 @@ def test_family_s5_s3_certified():
 
 def test_family_duplicates_failed():
     certs = [certify_galois(X5, 200)] * 2
-    classes = [disc_class(X5)] * 2
+    classes = [disc_class(discriminant(X5))] * 2
     out = certify_family_disjoint(certs, classes)
     assert out.verdict == "Failed"
 
@@ -115,7 +115,7 @@ def test_pairwise_independent_family_dependent():
 
 def test_certified_is_order_invariant():
     certs = [certify_galois(X5, 200), certify_galois(X3, 200)]
-    classes = [disc_class(X5), disc_class(X3)]
+    classes = [disc_class(discriminant(X5)), disc_class(discriminant(X3))]
     for perm in itertools.permutations(range(2)):
         out = certify_family_disjoint([certs[i] for i in perm], [classes[i] for i in perm])
         assert out.verdict == "Certified"

@@ -1,12 +1,15 @@
-"""The pipeline's per-process memo of factor facts: a warm memo gives the
-same report bytes as a cold one, does no group work again, hands out no
-shared dicts, and keeps nothing from a fill that raised."""
+"""The pipeline's per-process memo of factor facts and of the product's
+facts per tuple of factor signatures: a warm memo gives the same report
+bytes as a cold one, does no group work again, hands out no shared dicts,
+and keeps nothing from a fill that raised."""
 
 import hashlib
+from itertools import product
 
 import pytest
 
-from kummer import cohomology, pipeline
+from conftest import clear_pipeline_memo
+from kummer import cohomology, disjoint, galois, pipeline
 from kummer.errors import ActionMismatch
 from kummer.galois import IntPolynomial
 from kummer.groups import FiniteGroup
@@ -22,6 +25,17 @@ POLYS = {
     (7, "S"): [(-1, -1, 0, 0, 0, 0, 0, 1)],
     (7, "A"): [(1, 0, 0, 1, -1, -3, 0, 1)],
 }
+
+
+def _product_signatures():
+    """Every two- and three-factor layout with g <= 3 that stage 3 reaches
+    but ``SIGNATURES`` leaves out: a quintic before a cubic.  The product
+    memo is keyed in factor order, so (5, 3) is a tuple of its own."""
+    for kind, flags in product(("S", "A"), product((False, True), repeat=2)):
+        yield (5, 3), (kind, "S"), flags
+
+
+MEMO_SIGNATURES = SIGNATURES + list(_product_signatures())
 
 
 def signature_case(degrees, kinds, flags):
@@ -63,6 +77,24 @@ def test_cold_and_warm_reports_are_byte_identical(degrees, kinds, flags):
     assert [(e["degree"], e["group"]) for e in structure[:-1]] == list(zip(degrees, kinds))
 
 
+def test_one_warm_process_gives_every_cold_report():
+    # the memo is kept across these calls, forward and then reversed, so an
+    # entry keyed too coarsely answers for a signature tuple it was not
+    # filled from
+    cases = [signature_case(*sig) for sig in MEMO_SIGNATURES]
+    cold = []
+    for (degrees, kinds, _), case in zip(MEMO_SIGNATURES, cases):
+        clear_pipeline_memo()
+        report = run_case(case)
+        structure = report.hypotheses[2]
+        groups = [(e["degree"], e["group"]) for e in structure["details"][:-1]]
+        assert groups == list(zip(degrees, kinds)) and structure["passed"]
+        cold.append(digest(report))
+    clear_pipeline_memo()
+    for i in [*range(len(cases)), *reversed(range(len(cases)))]:
+        assert digest(run_case(cases[i])) == cold[i], MEMO_SIGNATURES[i]
+
+
 def test_a_warm_signature_does_no_group_work(monkeypatch):
     first = CaseInput((FactorInput(IntPolynomial((-1, -1, 0, 0, 0, 1)), True),))
     second = CaseInput((FactorInput(IntPolynomial((1, -1, 0, 0, 0, 1)), True),))
@@ -74,6 +106,41 @@ def test_a_warm_signature_does_no_group_work(monkeypatch):
     assert harvests == [] and enumerations == []
 
 
+def test_a_warm_signature_tuple_does_no_product_work(monkeypatch):
+    x3 = [IntPolynomial(c) for c in POLYS[3, "S"]]
+    run_case(CaseInput((FactorInput(x3[0], True), FactorInput(x3[1], False))))
+    second = CaseInput((FactorInput(x3[2], True), FactorInput(x3[0], False)))
+    calls = {
+        name: record_calls(monkeypatch, pipeline, name)
+        for name in (
+            "wedge2_dual_invariants_dim",
+            "_cross_hom_dims",
+            "point_permutations",
+            "h1_pi1_from_points",
+        )
+    }
+    warm = digest(run_case(second))
+    assert all(c == [] for c in calls.values()), calls
+    clear_pipeline_memo()
+    assert digest(run_case(second)) == warm
+    assert all(calls.values())
+
+
+def test_discriminant_runs_once_per_factor(monkeypatch):
+    case = signature_case((3, 5), ("S", "S"), (True, False))
+    calls = []
+    real = galois.discriminant
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    for module in (galois, disjoint, pipeline):
+        monkeypatch.setattr(module, "discriminant", counting)
+    run_case(case)
+    assert calls == [f.poly for f in case.factors]
+
+
 def test_mutating_a_report_leaves_the_next_one_alone():
     case = signature_case((3, 5), ("S", "S"), (True, False))
     first = run_case(case)
@@ -83,17 +150,25 @@ def test_mutating_a_report_leaves_the_next_one_alone():
     first.equivariant_audit["factors"][0]["torsor_class_nonzero"] = False
     first.equivariant_audit["factors"][1]["h1_torsor_group_module"] = 99
     first.hypotheses[4]["details"]["group_order"] = 0
+    first.hypotheses[4]["details"]["h1_pi1"] = 99
+    first.hypotheses[2]["details"][-1]["decomposition_audit"]["cross_hom_dims"]["0,1"] = 99
     assert digest(run_case(case)) == expected
 
 
 @pytest.mark.parametrize(
-    "name", ["has_index_l_normal_subgroup", "h1_dim", "cocycle_class_is_nonzero"]
+    "name",
+    [
+        "has_index_l_normal_subgroup",
+        "h1_dim",
+        "cocycle_class_is_nonzero",
+        "wedge2_dual_invariants_dim",
+        "h1_pi1_from_points",
+    ],
 )
 def test_a_fill_that_raises_is_not_kept(name, monkeypatch):
     case = signature_case((5,), ("S",), (True,))
     expected = digest(run_case(case))
-    for memo in (pipeline._factor_facts, pipeline._torsor_facts):
-        memo.cache_clear()
+    clear_pipeline_memo()
 
     def broken(*args):
         raise RuntimeError("injected")

@@ -1,0 +1,70 @@
+"""The shape and contract checks of the linear-algebra and lattice layers
+raise typed errors, not asserts, so they survive ``python -O``."""
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from kummer.errors import DimensionMismatch, EngineError, InputError, LatticeCheckFailed
+from kummer.gf2 import F2Matrix
+from kummer.lattice import Lattice
+from kummer.picard import numerology
+from kummer.smith import ZMatrix, bareiss_det
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _b2_off_dim_h2():
+    # b_2 = C(2g, 2) + 2^(2g) = dim H^2 for every g, so the check can only be
+    # reached through a wrong binomial
+    real = math.comb
+    math.comb = lambda n, k: real(n, k) + 1
+    try:
+        numerology(2, 1)
+    finally:
+        math.comb = real
+
+
+SITES = {
+    "f2-row-count": (lambda: F2Matrix(2, 3, [1]), DimensionMismatch),
+    "f2-row-width": (lambda: F2Matrix(1, 2, [4]), DimensionMismatch),
+    "f2-from-rows-width": (lambda: F2Matrix.from_rows([[1, 0], [1]]), DimensionMismatch),
+    "lattice-denominator": (lambda: Lattice(2, [[1, 0]], den=0), InputError),
+    "lattice-row-length": (lambda: Lattice(2, [[1, 0, 0]]), DimensionMismatch),
+    "zmatrix-ragged": (lambda: ZMatrix([[1, 2], [3]]), DimensionMismatch),
+    "zmatrix-product-shape": (lambda: ZMatrix([[1, 2]]) * ZMatrix([[1, 2]]), DimensionMismatch),
+    "bareiss-det-not-square": (lambda: bareiss_det([[1, 2], [3]]), DimensionMismatch),
+    "numerology-ns-rank": (lambda: numerology(2, 0), InputError),
+    "numerology-b2": (_b2_off_dim_h2, LatticeCheckFailed),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_contract_checks_raise_typed_errors(site):
+    build, error = SITES[site]
+    with pytest.raises(error):
+        build()
+
+
+def test_contract_checks_survive_optimize_flag():
+    script = (
+        "from test_typed_contracts import SITES\n"
+        "for site, (build, _) in SITES.items():\n"
+        "    try:\n"
+        "        build()\n"
+        "    except Exception as exc:\n"
+        "        print(site, type(exc).__name__)\n"
+        "    else:\n"
+        "        print(site, 'no error')\n"
+    )
+    env = {"PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'tests'}", "PATH": "/usr/bin:/bin"}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    raised = dict(line.split(" ", 1) for line in out.stdout.splitlines())
+    assert raised == {site: error.__name__ for site, (_, error) in SITES.items()}
+    assert all(issubclass(error, EngineError) for _, error in SITES.values())
