@@ -5,8 +5,10 @@
            [--force-fail CHECK]
 
 Exit codes: 0 = all conclusions asserted (and --help), 2 = conclusions
-withheld, 1 = input error (including a command line argparse rejects) or an
-engine check that failed.
+withheld, 3 = a soundness check of the engine failed (GroupCheckFailed,
+GaloisCheckFailed, LatticeCheckFailed: the engine met contradictory evidence
+and asserts nothing), 1 = input error (including a command line argparse
+rejects) or any other engine error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import json
 import sys
 from functools import lru_cache
 
-from .errors import EngineError, InputError
+from .errors import (
+    EngineError,
+    GaloisCheckFailed,
+    GroupCheckFailed,
+    InputError,
+    LatticeCheckFailed,
+)
 from .pipeline import (
     HYPOTHESIS_CHECKS,
     audit_example_1_odd,
@@ -102,7 +110,7 @@ def main(argv=None) -> int:
         return 1
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, (GroupCheckFailed, GaloisCheckFailed, LatticeCheckFailed)) else 1
 
 
 if __name__ == "__main__":

@@ -66,12 +66,12 @@ class InputError(EngineError):
 
 
 class GroupCheckFailed(EngineError):
-    """A group construction or enumeration failed a soundness check."""
+    """A group construction or enumeration failed a soundness check (CLI exit code 3)."""
 
 
 class GaloisCheckFailed(EngineError):
-    """Galois certification met contradictory evidence (a soundness check failed)."""
+    """Galois certification met contradictory evidence (a soundness check failed; CLI exit code 3)."""
 
 
 class LatticeCheckFailed(EngineError):
-    """A lattice construction or an index failed a soundness check."""
+    """A lattice construction or an index failed a soundness check (CLI exit code 3)."""

@@ -4,6 +4,19 @@ The certificate route is one-sided: reduction cycle types (Dedekind) supply a
 transitivity witness and a cycle type forcing the alternating group, then the
 discriminant square test separates S_d from A_d.  The tool never claims a
 group smaller than A_d; it answers Unknown instead.
+
+Cycle types come from one scan of the primes (``frobenius_scan``).  Primes
+p > d = deg f that divide neither lc(f) nor disc(f) go in batches, computed
+together in (Z/M)[x]/(f) with M the product of a batch's primes (CRT lanes).
+In each lane, Q is the matrix of Frobenius on F_p[x]/(f) = prod F_{p^n_j};
+Frob^k on F_{p^n} permutes a normal basis cyclically, so its trace is n if
+n | k and 0 otherwise, and tr(Q^k) = sum_{n | k} n a_n is the number of roots
+of f in F_{p^k} (a_n factors of degree n).  That number is at most d < p, so
+tr(Q^k) mod p is exact, and Moebius inversion over k <= d/2 gives the a_k;
+the rest of the degree is one factor.  A count that is negative, not a
+multiple of k, or a rest in (0, d/2] raises GaloisCheckFailed.  The identity
+needs p > d, so a prime p <= d gets the gcd distinct-degree factorisation
+instead.
 """
 
 from __future__ import annotations
@@ -216,11 +229,13 @@ def _pgcd(a, b, p):
 
 
 def _mulmod(u, v, fold, p):
-    """u * v mod f over F_p, for u, v of length d = deg f.
+    """u * v mod f over Z/p, for u, v of length d = deg f; p is a prime or,
+    for the CRT lanes of a batch, a product of primes.
 
     The product accumulates unreduced integers; its coefficients of x^d and
-    up are folded back through the rows x^{d+j} mod f, and each of the d
-    coefficients is reduced mod p once."""
+    up are reduced mod p (for a wide p this halves the width of each fold
+    product) and folded back through the rows x^{d+j} mod f, and each of the
+    d low coefficients is reduced mod p once."""
     d = len(u)
     c = [0] * (2 * d - 1)
     for i, ui in enumerate(u):
@@ -229,15 +244,25 @@ def _mulmod(u, v, fold, p):
                 c[j] += ui * vj
     low = c[:d]
     for ch, row in zip(c[d:], fold):
+        ch %= p
         if ch:
             low = [x + ch * t for x, t in zip(low, row)]
     return [x % p for x in low]
 
 
 def _times_x(h, xd, p):
-    """x * h mod f over F_p, given xd = x^d mod f: a shift plus one fold."""
+    """x * h mod f over Z/p, given xd = x^d mod f: a shift plus one fold."""
     top = h[-1]
     return [(lo + top * t) % p for lo, t in zip([0] + h[:-1], xd)]
+
+
+def _fold_rows(monic, m):
+    """fold[j] = x^{d+j} mod f over Z/m, j = 0 .. d-2, for monic f given by
+    its d coefficients below the leading 1."""
+    fold = [[-c % m for c in monic]]
+    while len(fold) < len(monic) - 1:
+        fold.append(_times_x(fold[-1], fold[0], m))
+    return fold
 
 
 def _cycle_type(monic, p):
@@ -261,10 +286,7 @@ def _cycle_type(monic, p):
             degrees.append(n)
             break
         if k == 1:
-            # fold[j] = x^{d+j} mod f, j = 0 .. d-2
-            fold = [[-c % p for c in monic]]
-            while len(fold) < d - 1:
-                fold.append(_times_x(fold[-1], fold[0], p))
+            fold = _fold_rows(monic, p)
             h = [0, 1] + [0] * (d - 2)  # x, the leading bit of p
             for bit in bin(p)[3:]:
                 h = _mulmod(h, h, fold, p)
@@ -292,22 +314,128 @@ def _cycle_type(monic, p):
     return tuple(sorted(degrees))
 
 
+def _frobenius_traces(coeffs, lanes):
+    """[tr(Q^k) mod M for k = 1 .. d // 2] for f of degree d with the given
+    coefficients, where M is the product of the distinct primes in lanes,
+    none dividing lc(f), and Q, in each prime p's CRT lane, is the matrix of
+    Frobenius on F_p[x]/(f): its rows are x^{ip} mod f.
+
+    Every operation is on (Z/M)[x]/(f), so one big-int product serves all the
+    lanes.  x^p comes from one left-to-right ladder over the bits of the
+    longest prime; at bit j the lanes whose prime has that bit set multiply by
+    x, through h + E_j (x h - h) with E_j the sum of their CRT idempotents
+    (1 mod their own prime, 0 mod the others)."""
+    d = len(coeffs) - 1
+    m = math.prod(lanes)
+    inv = pow(coeffs[-1], -1, m)
+    fold = _fold_rows([c * inv % m for c in coeffs[:-1]], m)
+    idempotents = [m // p * pow(m // p, -1, p) for p in lanes]
+    h = [1] + [0] * (d - 1)
+    for j in range(max(lanes).bit_length() - 1, -1, -1):
+        h = _mulmod(h, h, fold, m)
+        e = sum(ei for ei, p in zip(idempotents, lanes) if p >> j & 1) % m
+        if e:
+            xh = _times_x(h, fold[0], m)
+            h = [(a + e * (b - a)) % m for a, b in zip(h, xh)]
+    q = [[1] + [0] * (d - 1), h][:d]
+    while len(q) < d:
+        q.append(_mulmod(q[-1], h, fold, m))
+    # tr(Q^k) = sum_ij (Q^a)_ij (Q^b)_ji, a = ceil(k/2), b = floor(k/2)
+    powers = [None, q]
+    traces = []
+    for k in range(1, d // 2 + 1):
+        a, b = k - k // 2, k // 2
+        if a == len(powers):
+            cols = list(zip(*powers[-1]))
+            powers.append([[sum(map(operator.mul, r, c)) % m for c in cols] for r in q])
+        if b:
+            cols = zip(*powers[b])
+            traces.append(sum(sum(map(operator.mul, r, c)) for r, c in zip(powers[a], cols)) % m)
+        else:
+            traces.append(sum(r[i] for i, r in enumerate(q)) % m)
+    return traces
+
+
+def _cycle_type_from_traces(traces, p, d):
+    """Sorted factor degrees of a squarefree f of degree d over F_p, p > d,
+    from traces[k-1] = tr(Q^k), k = 1 .. d // 2, known modulo a multiple of p.
+
+    Frob^k on F_{p^n} is a cyclic shift of a normal basis, so its trace is n
+    if n | k and 0 otherwise: tr(Q^k) = sum_{n | k} n a_n, the number of roots
+    of f in F_{p^k}, where a_n counts the factors of degree n.  That number is
+    at most d < p, so tr(Q^k) mod p is it exactly.  Moebius inversion, done
+    degree by degree, gives k a_k as the roots in F_{p^k} less those in its
+    proper subfields; what the factors of degree <= d/2 leave is one factor."""
+    degrees = []
+    for k, t in enumerate(traces, 1):
+        s = t % p - sum(n for n in degrees if k % n == 0)
+        if s < 0 or s % k:
+            raise GaloisCheckFailed(f"{s} roots of exact degree {k} mod {p}")
+        degrees += [k] * (s // k)
+    left = d - sum(degrees)
+    if left < 0 or 0 < left <= d // 2:
+        raise GaloisCheckFailed(f"factor degrees leave {left} of {d} mod {p}")
+    return tuple(degrees + [left] if left else degrees)
+
+
+# lanes per batch: a small first batch, since certify_galois usually finds its
+# witnesses among the first few primes and a batch of 4 costs about what two
+# primes cost one at a time, then doubling to the width past which a wider
+# modulus costs more per lane than it saves
+_BATCH_LANES = (4, 8, 16, 32)
+
+
+def _scan_batch(coeffs, disc, batch, lanes):
+    """Yield (p, cycle type) for the primes in batch, in order; those in
+    lanes share one _frobenius_traces, and each one's type is read off the
+    traces only when it is yielded."""
+    d = len(coeffs) - 1
+    if lanes:
+        traces = _frobenius_traces(coeffs, list(dict.fromkeys(lanes)))
+    for p in batch:
+        if disc % p == 0:
+            yield p, RAMIFIED
+        elif p <= d:
+            inv = pow(coeffs[-1], -1, p)
+            yield p, _cycle_type([c * inv % p for c in coeffs[:-1]], p)
+        else:
+            yield p, _cycle_type_from_traces(traces, p, d)
+
+
 def frobenius_scan(f: IntPolynomial, disc: int, primes):
-    """Yield (p, cycle type of f mod p) for each p in primes that does not
-    divide lc(f); the type is RAMIFIED when p divides disc = disc(f).
+    """Yield (p, cycle type of f mod p) for each p in primes, in their order,
+    that does not divide lc(f); the type is RAMIFIED when p divides
+    disc = disc(f).
 
     For p not dividing lc(f), f mod p is squarefree exactly when p does not
-    divide disc(f), so ramification costs one remainder."""
+    divide disc(f), so ramification costs one remainder.  The unramified
+    primes p > d go in batches of 4, 8, 16, then 32, whose cycle types come
+    from the traces of Frobenius computed for the whole batch at once in CRT
+    lanes (_frobenius_traces, _cycle_type_from_traces).  The trace identity
+    needs p > d; a prime p <= d gets the gcd distinct-degree factorisation
+    (_cycle_type).  Primes that are not in a batch are yielded as soon as no
+    earlier prime waits for its batch."""
     coeffs = f.coefficients
     lead = coeffs[-1]
+    d = f.degree
+    widths = iter(_BATCH_LANES)
+    width = next(widths)
+    batch, lanes = [], []
     for p in primes:
         if lead % p == 0:
             continue
-        if disc % p == 0:
-            yield p, RAMIFIED
+        batch.append(p)
+        if p > d and disc % p:
+            lanes.append(p)
+            if len(lanes) < width:
+                continue
+            width = next(widths, width)
+        elif lanes:
             continue
-        inv = pow(lead, -1, p)
-        yield p, _cycle_type([c * inv % p for c in coeffs[:-1]], p)
+        # a full batch, or primes of which none waits for a batch
+        yield from _scan_batch(coeffs, disc, batch, lanes)
+        batch, lanes = [], []
+    yield from _scan_batch(coeffs, disc, batch, lanes)
 
 
 def cycle_type_mod_p(f: IntPolynomial, p: int):

@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from kummer import cli
 from kummer.cli import build_parser, main
+from kummer.errors import (
+    CapExceeded,
+    EngineError,
+    GaloisCheckFailed,
+    GroupCheckFailed,
+    InputError,
+    LatticeCheckFailed,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
@@ -159,6 +168,31 @@ def test_rejected_command_line_is_an_input_error(capsys):
         code = main(["--input", str(CASES / "example1.json"), *args])
         assert code == 1, args
         assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (GroupCheckFailed, 3),
+        (GaloisCheckFailed, 3),
+        (LatticeCheckFailed, 3),
+        (InputError, 1),
+        (CapExceeded, 1),
+        (EngineError, 1),
+    ],
+)
+def test_failed_soundness_check_exits_three(monkeypatch, tmp_path, capsys, error, code):
+    # a soundness check that meets contradictory evidence is told apart from
+    # malformed input and from the other engine errors, and writes no report
+    def raise_error(case, force_fail=None):
+        raise error("contradiction")
+
+    monkeypatch.setattr(cli, "run_case", raise_error)
+    report = tmp_path / "report.json"
+    assert main(["--input", str(CASES / "example1.json"), "--report", str(report)]) == code
+    assert not report.exists()
+    prefix = "input error:" if error is InputError else "engine error:"
+    assert prefix in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -1,11 +1,15 @@
-"""The per-prime Frobenius kernel against the one-powmod-per-degree oracle,
-the shared sieve, the typed soundness checks of galois and disjoint, and the
-certificates against sympy's Galois groups."""
+"""The Frobenius scan (CRT lanes and the gcd fallback for p <= d) against
+the one-powmod-per-degree oracle, the shared sieve, the typed soundness
+checks of galois and disjoint, and the certificates against sympy's Galois
+groups."""
 
+import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +99,93 @@ def test_scan_matches_per_prime_calls(poly):
     assert all(t == ddf_cycle_type(f.coefficients, p) for p, t in scanned)
 
 
+SMALL_LEADS = [1, -1, 2, -3, 5, 6, 7, 10, 14, 30, 49, 210]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-60, 60), min_size=d, max_size=d),
+            st.sampled_from(SMALL_LEADS),
+        )
+    ),
+    st.lists(st.sampled_from(PRIMES), min_size=1, max_size=2),
+    st.lists(st.sampled_from(NEAR_MILLION), min_size=1, max_size=2, unique=True),
+    st.randoms(use_true_random=False),
+)
+@example(([1, -1, 0, 0, 0], 1), [11, 11], [999_983], random.Random(0))
+def test_one_batch_of_every_kind_of_prime_matches_the_oracle(poly, sampled, near, rng):
+    # p <= d, p | lc, p | disc, sampled primes (maybe one twice) and primes
+    # near 10^6, in any order; at most 4 of them are lanes, so they share the
+    # first batch
+    low, lead = poly
+    f = IntPolynomial(tuple(low) + (lead,))
+    disc = discriminant(f)
+    primes = (
+        [p for p in (2, 3, 5, 7) if p <= f.degree]
+        + [p for p in SMALL_PRIMES if lead % p == 0]
+        + [p for p in PRIMES if disc % p == 0][:3]
+        + sampled + near
+    )
+    rng.shuffle(primes)
+    with mock.patch.object(galois, "_frobenius_traces", wraps=galois._frobenius_traces) as traces:
+        scanned = list(frobenius_scan(f, disc, primes))
+    assert scanned == [(p, ddf_cycle_type(f.coefficients, p)) for p in primes if lead % p]
+    lanes = list(dict.fromkeys(p for p in primes if p > f.degree and lead % p and disc % p))
+    assert [call.args[1] for call in traces.call_args_list] == ([lanes] if lanes else [])
+
+
+def _corrupt_traces_at(prime):
+    """_cycle_type_from_traces, with tr(Q) set to d + 1 roots at the given prime."""
+    real = galois._cycle_type_from_traces
+
+    def reconstruct(traces, p, d):
+        return real([d + 1] + traces[1:] if p == prime else traces, p, d)
+
+    return reconstruct
+
+
+@pytest.mark.parametrize(
+    "traces, p, d",
+    [
+        ([6], 7, 3),  # more roots in F_p than the degree
+        ([1, 3], 11, 5),  # one linear and one quadratic factor leave 2 <= d/2
+        ([0, 1], 11, 5),  # an odd number of roots of exact degree 2
+        ([3, 0], 11, 5),  # a negative count of quadratic factors
+        ([0, 0, 2], 13, 7),  # two roots of exact degree 3
+    ],
+)
+def test_inconsistent_traces_raise(traces, p, d):
+    with pytest.raises(GaloisCheckFailed):
+        galois._cycle_type_from_traces(traces, p, d)
+
+
+def test_reconstruction_stays_lazy_past_the_last_witness(monkeypatch):
+    # x^5 - 3x^2 - 2x + 1 is certified S_5 by witnesses at 2 and 7; 11, 13
+    # and 17 share 7's batch, so their traces are computed, but never read
+    f = IntPolynomial((1, -2, -3, 0, 0, 1))
+    cert = certify_galois(f, 200)
+    assert cert.verdict == "SymmetricGroup"
+    assert max(p for p, _, _ in cert.witnesses) == 7
+    batches = []
+    real_traces = galois._frobenius_traces
+
+    def record(coeffs, lanes):
+        batches.append(lanes)
+        return real_traces(coeffs, lanes)
+
+    monkeypatch.setattr(galois, "_frobenius_traces", record)
+    for prime in (11, 13, 17):
+        monkeypatch.setattr(galois, "_cycle_type_from_traces", _corrupt_traces_at(prime))
+        assert certify_galois(f, 200) == cert
+    assert batches == [[7, 11, 13, 17]] * 3
+    # the same fault where the scan reads it
+    monkeypatch.setattr(galois, "_cycle_type_from_traces", _corrupt_traces_at(7))
+    with pytest.raises(GaloisCheckFailed):
+        certify_galois(f, 200)
+
+
 def test_cycle_type_small_inputs_keep_their_answers():
     assert cycle_type_mod_p(IntPolynomial((1, 0, 1)), 3) == (2,)
     assert cycle_type_mod_p(IntPolynomial((3, 2)), 7) == (1,)
@@ -129,6 +220,29 @@ def test_certificate_equals_the_oracle_driven_scan(monkeypatch, coeffs, bound):
     cert = certify_galois(f, bound)
     monkeypatch.setattr(galois, "frobenius_scan", _oracle_scan)
     assert certify_galois(f, bound) == cert
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads_readonly", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rejects_slots_certify_as_the_oracle_driven_scan(monkeypatch):
+    # the first candidate of the first slot of each kind of the benchmark's
+    # rejects workload at seed 401: x^5 - a and x^7 - a scanned to their
+    # bound, a shifted cubic pair and a large quintic
+    workloads = _bench_workloads()
+    polys = []
+    for kind in dict.fromkeys(workloads.REJECTS_CYCLE):
+        _, case = next(workloads.candidates("rejects", 401, workloads.REJECTS_CYCLE.index(kind)))
+        for factor in case["factors"]:
+            polys.append((IntPolynomial(tuple(int(c) for c in factor["poly"])), case["prime_bound"]))
+    certs = [certify_galois(f, bound) for f, bound in polys]
+    assert {cert.degree for cert in certs} == {3, 5, 7}
+    monkeypatch.setattr(galois, "frobenius_scan", _oracle_scan)
+    assert [certify_galois(f, bound) for f, bound in polys] == certs
 
 
 def test_ddf_internal_checks_raise_typed_errors(monkeypatch):

@@ -221,6 +221,6 @@ def test_square_discriminant_with_odd_cycle_type_is_an_engine_error(monkeypatch,
     case = tmp_path / "cubic.json"
     factors = [{"poly": ["-2", "0", "0", "1"]}, {"poly": ["1", "-1", "0", "0", "0", "1"]}]
     case.write_text(json.dumps({"factors": factors, "prime_bound": 50}))
-    assert main(["--input", str(case), "--report", str(tmp_path / "out.json")]) == 1
+    assert main(["--input", str(case), "--report", str(tmp_path / "out.json")]) == 3
     assert not (tmp_path / "out.json").exists()
     assert "engine error: square discriminant" in capsys.readouterr().err

@@ -32,6 +32,9 @@ EDGE = {
     "g4_pair": [X5, _poly(3, -1, 0, 0, 0, 1)],
     "a5_shift": [A5, A5.shift(2)],
     "three_cubics": [_poly(-1, -1, 0, 1), _poly(-1, -2, 0, 1), _poly(-3, -1, 0, 1)],
+    # three_cubics stops at stage 1 (x^3 - 2x - 1 is reducible); these three
+    # S_3 cubics, of discriminant classes -23, -31 and -3, reach stages 3-6
+    "three_s3_cubics": [_poly(-1, -1, 0, 1), _poly(1, 1, 0, 1), _poly(-2, 0, 0, 1)],
 }
 
 
@@ -91,11 +94,24 @@ DIGESTS = {
     "a5_shift-heuristic": "47ca704520ebd5014e32d4f6e1a24fcd5b64b2409ca2bf2860bc8702d0dee94f",
     "three_cubics-certify": "a99a715af405734a6dccb188bd7950e2cad4e700ac390f969118995eb8f1254a",
     "three_cubics-heuristic": "d9f2074b7785ef68b0ad25776ef227539661f69762bd126fb8bcf3ac0d9dd575",
+    "three_s3_cubics-certify": "56ccb2ec616e79ea249ea6e084d3aeebe8e77f92aa30bfa447c08dd23f704548",
+    "three_s3_cubics-heuristic": "89428fe5782021ab6aaea9a8ba221f2529d9716d82d35c40c0950a4c3fd8fc10",
 }
 
 
 def test_every_input_is_pinned():
     assert sorted(DIGESTS) == sorted(key for key, _, _ in INPUTS)
+
+
+@pytest.mark.parametrize("mode", ["certify", "heuristic"])
+def test_three_s3_cubics_reach_every_stage(mode):
+    factors = tuple(FactorInput(p, True) for p in EDGE["three_s3_cubics"])
+    report = json.loads(run_case(CaseInput(factors, prime_bound=500, mode=mode)).to_json())
+    stages = {h["name"]: h for h in report["hypotheses"]}
+    assert list(stages) == list(HYPOTHESIS_CHECKS)
+    assert all(h["passed"] for h in stages.values())
+    assert stages["pi1_cohomology"]["details"]["group_order"] == 24**3  # (F_2^2 x| S_3)^3
+    assert report["conclusions"]["asserted"] is True
 
 
 @pytest.mark.parametrize("key,case,fault", INPUTS, ids=[key for key, _, _ in INPUTS])

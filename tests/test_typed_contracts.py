@@ -1,5 +1,6 @@
-"""The shape and contract checks of the linear-algebra and lattice layers
-raise typed errors, not asserts, so they survive ``python -O``."""
+"""The shape and contract checks of the linear-algebra and lattice layers,
+and the consistency check of the Frobenius traces, raise typed errors, not
+asserts, so they survive ``python -O``."""
 
 import math
 import subprocess
@@ -8,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from kummer.errors import DimensionMismatch, EngineError, InputError, LatticeCheckFailed
+from kummer.errors import (
+    DimensionMismatch,
+    EngineError,
+    GaloisCheckFailed,
+    InputError,
+    LatticeCheckFailed,
+)
+from kummer.galois import _cycle_type_from_traces, _frobenius_traces
 from kummer.gf2 import F2Matrix
 from kummer.lattice import Lattice
 from kummer.picard import numerology
@@ -28,6 +36,13 @@ def _b2_off_dim_h2():
         math.comb = real
 
 
+def _corrupted_trace():
+    # the traces of x^5 + 2x + 1 in the lane of 11, with tr(Q^2) off by one:
+    # tr(Q^2) - tr(Q) is then odd, not twice a number of quadratic factors
+    t1, t2 = _frobenius_traces((1, 2, 0, 0, 0, 1), [11])
+    _cycle_type_from_traces([t1, t2 + 1], 11, 5)
+
+
 SITES = {
     "f2-row-count": (lambda: F2Matrix(2, 3, [1]), DimensionMismatch),
     "f2-row-width": (lambda: F2Matrix(1, 2, [4]), DimensionMismatch),
@@ -39,6 +54,7 @@ SITES = {
     "bareiss-det-not-square": (lambda: bareiss_det([[1, 2], [3]]), DimensionMismatch),
     "numerology-ns-rank": (lambda: numerology(2, 0), InputError),
     "numerology-b2": (_b2_off_dim_h2, LatticeCheckFailed),
+    "galois-corrupted-trace": (_corrupted_trace, GaloisCheckFailed),
 }
 
 
