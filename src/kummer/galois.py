@@ -461,12 +461,6 @@ class GaloisCertificate:
     discriminant: int
     diagnostics: str = ""
 
-    def witness_for(self, role):
-        for p, t, r in self.witnesses:
-            if r == role:
-                return p, t
-        return None
-
 
 def _power_cycle_types(t):
     """Cycle types of all powers of a permutation with cycle type t."""
@@ -528,7 +522,7 @@ def certify_galois(f: IntPolynomial, prime_bound: int = 1000) -> GaloisCertifica
     if d % 2 == 0:
         raise EvenDegree(f"degree {d} is even")
     if d < 3:
-        raise ValueError("degree must be at least 3")
+        raise InputError(f"degree {d} is below 3")
     disc = discriminant(f)
     if disc == 0:
         raise Inseparable("zero discriminant")

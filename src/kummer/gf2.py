@@ -27,23 +27,6 @@ class F2Matrix:
                 raise DimensionMismatch(f"a row has a bit beyond column {ncols}")
 
     @classmethod
-    def from_rows(cls, rows, ncols: int | None = None) -> "F2Matrix":
-        """Build from an iterable of 0/1 sequences."""
-        rows = [list(r) for r in rows]
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        packed = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch(f"a row of length {len(r)} in a matrix of {ncols} columns")
-            acc = 0
-            for j, v in enumerate(r):
-                if v & 1:
-                    acc |= 1 << j
-            packed.append(acc)
-        return cls(len(rows), ncols, packed)
-
-    @classmethod
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, n, [1 << i for i in range(n)])
 
@@ -169,26 +152,3 @@ def matvec(rows, v: int) -> int:
         if (r & v).bit_count() & 1:
             acc |= 1 << i
     return acc
-
-
-def mat_inverse(rows):
-    """Inverse of an invertible packed-row F_2 matrix."""
-    n = len(rows)
-    work = list(rows)
-    inv = [1 << i for i in range(n)]
-    for c in range(n):
-        mask = 1 << c
-        src = None
-        for i in range(c, n):
-            if work[i] & mask:
-                src = i
-                break
-        if src is None:
-            raise ValueError("matrix is singular over F_2")
-        work[c], work[src] = work[src], work[c]
-        inv[c], inv[src] = inv[src], inv[c]
-        for i in range(n):
-            if i != c and work[i] & mask:
-                work[i] ^= work[c]
-                inv[i] ^= inv[c]
-    return inv

@@ -188,9 +188,6 @@ class FiniteGroup:
             out.append(n)
         return sorted(out)
 
-    def exponent(self):
-        return math.lcm(*set(self.element_orders()))
-
     def subgroup_closure(self, seeds):
         """Elements of <seeds>, BFS products only (enough for finite groups)."""
         e = self.identity()

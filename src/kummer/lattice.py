@@ -59,10 +59,6 @@ class Lattice:
         self._free = tuple(j for j in range(ambient_dim) if j not in pivot_cols)
 
     @classmethod
-    def from_generators(cls, ambient_dim, rows, den=1):
-        return cls(ambient_dim, rows, den)
-
-    @classmethod
     def from_f2_rows(cls, ambient_dim, packed_rows, den):
         """(1/den) M for the M with 2 Z^n <= M <= Z^n whose image in F_2^n is
         spanned by packed_rows (bit j = column j).

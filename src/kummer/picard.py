@@ -135,16 +135,6 @@ def canonical_class_in_pi1(g: int) -> bool:
     return list(nums) == recon
 
 
-def exceptional_intersections(g: int):
-    """Pairing of exceptional classes against their ruling curves: -2 I."""
-    if g < 2:
-        raise GTooLarge("the model needs g >= 2")
-    if g > EQUIVARIANT_G_CAP:
-        raise GTooLarge(f"intersection table capped at g <= {EQUIVARIANT_G_CAP}")
-    n = 1 << (2 * g)
-    return [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def numerology(g: int, ns_rank: int):
     """Picard rank, Betti numbers and h^2 for dimension g, with b_2 = h^2 enforced."""
     if g < 2:
@@ -316,10 +306,6 @@ class EquivariantModel:
         permutation module with H^1 = 0, and the quotient is Z/2, so H^1 of
         Pi_1 embeds in Hom(P, Z/2) and equals its own 2-torsion."""
         return h1_two_torsion_dim(self.pi1_matrices)
-
-    def permutation_basis_exists(self):
-        """Is {e_x : x != 0} + {half the full sum} stable under every generator."""
-        return all(perm[0] == 0 for perm in self.point_perms)
 
 
 def equivariant_lattice(model: KummerLatticeModel, p_group: FiniteGroup, flags) -> EquivariantModel:

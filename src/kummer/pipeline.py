@@ -14,18 +14,17 @@ strict torsor-count rule and the conclusions.  No stage enumerates a product
 group (stage 3 reads it through generator matrices, stage 5 works factor by
 factor), so every input beyond the lattice cap (g > 3) gets a withheld report.
 
-What a factor contributes depends only on its signature: the degree d, S_d
-or A_d, and the torsor flag.  So the per-factor checks of stages 3 to 6 are
-computed once per signature in a process (``_factor_facts``,
-``_torsor_facts``), and the lattice model once per g (``_lattice_model``).
-What the product contributes depends only on the tuple of its factors'
-signatures, in factor order: stage 3's product audit is computed once per
-tuple of (degree, S/A) (``_product_audit``), and stage 5's points of P and
-H^1(P, Pi_1) once per tuple of (degree, S/A, flag) (``_pi1_facts``).  An
-entry is kept only once all of its checks have passed.  Every call still
-reads each factor's signature off its module and checks it against the memo,
-runs the invariants guard, the strict torsor-count rule and fault injection,
-and builds fresh detail dicts.  The bundled audits recompute everything.
+Stages 3 to 6 depend only on the Galois-module type of each factor: the
+degree d, S_d or A_d, and whether the 2-covering is a nontrivial torsor.  So
+``run_case`` reads the tuple of those signatures, in factor order, off the
+certificates and the case, and their outcomes are computed once per tuple in
+a process (``_signature_outcomes``).  Within one computation each distinct
+factor module is built and validated once, each distinct P_i once, and the
+lattice model once.  The outcomes are kept as a JSON string, so every call
+decodes fresh detail dicts, and an entry is kept only once all of its checks
+have passed.  Fault injection, the skips after a failed Galois
+certification and the strict torsor-count rule stay per call.  The bundled
+audits recompute everything.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .disjoint import certify_family_disjoint, disc_class, frobenius_joint_stati
 from .errors import ActionMismatch, EngineError, FactorBudgetExceeded, GroupCheckFailed, InputError
 from .galois import IntPolynomial, certify_galois, discriminant
 from .groups import (
-    FiniteGroup,
     affine,
     alternating_group,
     direct_product,
@@ -247,12 +245,15 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
         outcomes += [(False, skip), (False, [skip]), (False, [skip]), (False, skip), (False, skip)]
     else:
         outcomes.append(_disjointness_stage(case, certs))
-        structure_ok, structure_details, facts = _module_stage(certs)
-        outcomes += [(structure_ok, structure_details), _h1_stage(facts)]
+        sigs = tuple(
+            (cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A", f.torsor_nontrivial)
+            for cert, f in zip(certs, case.factors)
+        )
+        structure, h1, pi1, pic = json.loads(_signature_outcomes(sigs))
+        outcomes += [structure, h1]
         strict = force_fail is None and all(ok for ok, _ in outcomes)
-        modules = [mod for mod, _, _ in facts]
-        (pi1_ok, pi1_details), (pic_ok, pic_details) = _equivariant_stage(case, modules)
-        outcomes += [(pi1_ok, pi1_details), (pic_ok, pic_details)]
+        outcomes += [pi1, pic]
+        (_, pi1_details), (_, pic_details) = pi1, pic
         for line in pic_details.get("factors", ()):
             hv, expected = line["h1_torsor_group_module"], line["expected"]
             if strict and hv != expected:
@@ -316,14 +317,51 @@ def _disjointness_stage(case, certs):
 
 
 @lru_cache(maxsize=None)
-def _factor_facts(d, kind):
-    """Stage 3's checks of S_d or A_d on its standard module and stage 4's
-    H^1(G_i, V_i), once per (degree, "S" or "A") in a process: the validated
-    module (its harvest cached on it), stage 3's detail items, from which
-    every call builds its own dict, and h1.  lru_cache keeps no entry for a
-    call that raised."""
-    mod = standard_module(d, kind)
-    validate_module(mod)
+def _signature_outcomes(sigs):
+    """The (passed, details) pairs of stages 3 to 6 as one JSON string, once
+    per tuple of factor signatures ((degree, "S" or "A", torsor flag), ...)
+    in factor order in a process.  Those stages read nothing of a case but
+    its signatures.  Every call decodes its own dicts from the string, and
+    lru_cache keeps no entry for a fill that raised."""
+    structure_ok, structure_details, modules = _module_stage(sigs)
+    outcomes = [(structure_ok, structure_details), _h1_stage(modules)]
+    return json.dumps(outcomes + list(_equivariant_stage(sigs, modules)))
+
+
+def _module_stage(sigs):
+    """(3) Module structure: each distinct factor module is built and
+    validated once, then absolute simplicity, the alternating restriction,
+    and the wedge-square decomposition audit for the product.
+
+    The product module is read only through its generator matrices: a
+    product of homomorphisms is a homomorphism, so the product of the factor
+    groups is never enumerated.  Returns (passed, details, the factor modules
+    in factor order).
+    """
+    built = {}
+    for d, kind, _ in sigs:
+        if (d, kind) not in built:
+            mod = standard_module(d, kind)
+            validate_module(mod)
+            built[d, kind] = mod, _factor_structure(mod, d, kind)
+    modules = [built[d, kind][0] for d, kind, _ in sigs]
+    details = [built[d, kind][1] for d, kind, _ in sigs]
+    prod = product_factor_module(modules)
+    prod = with_character(prod, [1] * len(prod.group.generators))
+    wedge_total = wedge2_dual_invariants_dim(prod)
+    cross = _cross_hom_dims(modules, prod.group)
+    decomposition = {
+        "wedge2_invariants_total": wedge_total,
+        "expected_total": len(sigs),
+        "cross_hom_dims": cross,
+    }
+    ok = wedge_total == len(sigs) and all(v == 0 for v in cross.values())
+    details.append({"decomposition_audit": decomposition, "accepted": ok})
+    return all(e["accepted"] for e in details), details, modules
+
+
+def _factor_structure(mod, d, kind):
+    """Stage 3's checks of S_d or A_d on its validated standard module."""
     alt = standard_module(d, "A")
     end_dim = endomorphism_algebra_dim(mod)
     abs_simple = is_simple(mod) and end_dim == 1
@@ -332,7 +370,7 @@ def _factor_facts(d, kind):
     alt_abs = is_absolutely_simple(alt) if d >= 5 else None
     alt_no_index2 = not has_index_l_normal_subgroup(alternating_group(d), 2)
     ok = abs_simple and fixed_dim == 0 and alt_simple and alt_no_index2
-    details = {
+    return {
         "degree": d,
         "group": kind,
         "dim": mod.dim,
@@ -344,68 +382,19 @@ def _factor_facts(d, kind):
         "alternating_has_no_index_2_quotient": alt_no_index2,
         "accepted": ok and alt_abs if d >= 5 else ok,
     }
-    return mod, tuple(details.items()), h1_dim(mod)
 
 
-def _module_stage(certs):
-    """(3) Module structure: each factor module is validated, then absolute
-    simplicity, the alternating restriction, and the wedge-square
-    decomposition audit for the product.
-
-    The product module is read only through its generator matrices: a
-    product of homomorphisms is a homomorphism, so the product of the factor
-    groups is never enumerated.  Returns (passed, details, factor facts).
-    """
-    sigs = tuple(
-        (cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A") for cert in certs
-    )
-    facts = [_factor_facts(*sig) for sig in sigs]
-    details = [dict(items) for _, items, _ in facts]
-    wedge_total, cross = _product_audit(sigs)
-    decomposition = {
-        "wedge2_invariants_total": wedge_total,
-        "expected_total": len(sigs),
-        "cross_hom_dims": dict(cross),
-    }
-    ok = wedge_total == len(sigs) and all(v == 0 for _, v in cross)
-    details.append({"decomposition_audit": decomposition, "accepted": ok})
-    return all(e["accepted"] for e in details), details, facts
-
-
-@lru_cache(maxsize=None)
-def _product_audit(sigs):
-    """Stage 3's wedge-square decomposition audit of the product module, once
-    per tuple of factor signatures ((degree, "S" or "A"), ...) in factor
-    order: the wedge-square invariants total and the cross-Hom dims as
-    items, from which every call builds its own dict."""
-    modules = [_factor_facts(*sig)[0] for sig in sigs]
-    prod = product_factor_module(modules)
-    prod = with_character(prod, [1] * len(prod.group.generators))
-    wedge_total = wedge2_dual_invariants_dim(prod)
-    return wedge_total, tuple(_cross_hom_dims(modules, prod.group).items())
-
-
-def _h1_stage(facts):
-    """(4) H^1(G_i, V_i) = 0 per factor."""
-    details = [{"group": m.group.name, "dim": m.dim, "h1": h1} for m, _, h1 in facts]
+def _h1_stage(modules):
+    """(4) H^1(G_i, V_i) = 0 per factor, from the harvest stage 3 cached."""
+    details = [{"group": m.group.name, "dim": m.dim, "h1": h1_dim(m)} for m in modules]
     return all(e["h1"] == 0 for e in details), details
 
 
-@lru_cache(maxsize=None)
-def _lattice_model(g):
-    """The verified lattice model, which depends on g alone, once per process."""
-    return build_nikulin_lattice(g)
-
-
-@lru_cache(maxsize=None)
-def _torsor_facts(d, kind, flag):
-    """P_i = ``torsor_factor_group(V_i, flag)``, its H^1(P_i, V_i) and the
-    torsor class, once per (degree, "S" or "A", torsor flag) in a process:
-    P_i's generators and blocks of points, |P_i|, and stage 6's detail items
-    for the factor less its index.  P_i's elements are not kept.  A trivial
+def _torsor_factor(mod, flag):
+    """P_i = ``torsor_factor_group(V_i, flag)`` and stage 6's line for the
+    factor less its index: H^1(P_i, V_i) and the torsor class.  A trivial
     torsor's P_i must be the linear lift of G_i, so V_i keeps G_i's module
     and its cached harvest."""
-    mod = _factor_facts(d, kind)[0]
     p_i = torsor_factor_group(mod, flag)
     linear, tau = zip(*(affine(s, p_i.blocks[0]) for s in p_i.generators))
     if not flag and (linear != mod.generator_matrices or any(map(any, tau))):
@@ -422,26 +411,15 @@ def _torsor_facts(d, kind, flag):
         nonzero = cocycle_class_is_nonzero(vmod, tau)
         line["torsor_class_nonzero"] = nonzero
         line["h1_pic_factor_model"] = hv - (1 if nonzero else 0)
-    return tuple(p_i.generators), p_i.blocks, p_i.order(), tuple(line.items())
+    return p_i, line
 
 
-def _signature(mod):
-    """(degree, "S" or "A") of a standard factor module, checked to be the
-    memo's module for that signature, so the memo answers for this one."""
-    group = mod.group
-    kind = "A" if all(map(is_even, group.generators)) else "S"
-    known = _factor_facts(group.degree, kind)[0]
-    same = known.group.generators == group.generators
-    if not same or known.generator_matrices != mod.generator_matrices:
-        raise ActionMismatch(f"{group.name} on F_2^{mod.dim} is not a standard factor module")
-    return group.degree, kind
-
-
-def _equivariant_stage(case, modules):
+def _equivariant_stage(sigs, modules):
     """(5)+(6) Equivariant audit over the torsor Galois group P = prod P_i,
     P_i = ``torsor_factor_group(V_i, flag_i)``: H^1(P, Pi_1) and the assembled
-    H^1 of the Picard model.  Returns the (passed, details) pairs of both
-    checks.  P is never enumerated, only each P_i.
+    H^1 of the Picard model, for the factor signatures ``sigs`` and their
+    modules in factor order.  Returns the (passed, details) pairs of both
+    checks.  P is never enumerated, only each P_i, once per signature.
 
     H^1(P, Pi_1) comes from the Schreier graph of P on the 2^{2g} points
     (``h1_pi1_from_points``).  V_i is inflated from P_i, and for P = P_i x P'
@@ -453,38 +431,38 @@ def _equivariant_stage(case, modules):
     of G_i, is faithful on G_i's own points, so it is G_i with the same
     generator matrices and stage 4's H^1(G_i, V_i) is reused.
 
-    Each P_i's generators, order, H^1 and torsor class come from
-    ``_torsor_facts``, once per (degree, S/A, flag) in a process, and the
-    points of P and H^1(P, Pi_1) from ``_pi1_facts``, once per tuple of
-    those signatures.  Every call reads each signature off its module
-    (``_signature``, which refuses a module the memo was not filled from)
-    and runs the invariants guard on stage 3's fixed-space dimension.
-
     The lattice model is desk-bounded: beyond EQUIVARIANT_G_CAP both checks
-    fail closed unrun, and every conclusion stays withheld.
+    fail closed unrun, and every conclusion stays withheld.  Below it the
+    model is built only to check that P permutes its ambient_dim points.
     """
-    g = case.g
+    g = sum((d - 1) // 2 for d, _, _ in sigs)
     if g > EQUIVARIANT_G_CAP:
         skip = f"total dimension g = {g} beyond the lattice cap g <= {EQUIVARIANT_G_CAP}"
         return (False, {"skipped": skip}), (False, {"skipped": skip})
-    flags = [f.torsor_nontrivial for f in case.factors]
-    sigs = tuple((*_signature(mod), flag) for mod, flag in zip(modules, flags))
-    facts = [_torsor_facts(*sig) for sig in sigs]
-    h1_pi1, perm_basis = _pi1_facts(sigs)
-    all_trivial = not any(flags)
+    torsors = {}
+    for sig, mod in zip(sigs, modules):
+        if sig not in torsors:
+            torsors[sig] = _torsor_factor(mod, sig[2])
+    p_groups = [torsors[sig][0] for sig in sigs]
+    perms = point_permutations(direct_product(*p_groups))
+    ambient = build_nikulin_lattice(g).ambient_dim
+    if len(perms[0]) != ambient:
+        raise ActionMismatch(f"P permutes {len(perms[0])} points, not {ambient}")
+    h1_pi1 = h1_pi1_from_points(perms)
+    # {e_x : x != 0} + {half the full sum} is P-stable iff P fixes the point 0
+    perm_basis = all(perm[0] == 0 for perm in perms)
+    all_trivial = not any(flag for _, _, flag in sigs)
     pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
     pi1_details = {
-        "group_order": math.prod(order for _, _, order, _ in facts),
+        "group_order": math.prod(p_i.order() for p_i in p_groups),
         "h1_pi1": h1_pi1,
         "pi1_permutation_basis": perm_basis,
         "all_torsors_trivial": all_trivial,
     }
-    lines = []
-    for i, ((d, kind, _), (*_, line)) in enumerate(zip(sigs, facts)):
-        fixed_dim = dict(_factor_facts(d, kind)[1])["fixed_space_dim"]
-        if len(sigs) > 1 and fixed_dim != 0:
+    for i, mod in enumerate(modules):
+        if len(modules) > 1 and h0(mod) != 0:
             raise EngineError(f"V_{i} has invariants: H^1(P, V_{i}) is not H^1(P_{i}, V_{i})")
-        lines.append({"factor": i, **dict(line)})
+    lines = [{"factor": i, **torsors[sig][1]} for i, sig in enumerate(sigs)]
     assembled = h1_pi1 + sum(line["h1_pic_factor_model"] for line in lines)
     pic_ok = pi1_ok and assembled == 0 and all(
         line["h1_torsor_group_module"] == line["expected"] and line["h1_pic_factor_model"] == 0
@@ -492,22 +470,6 @@ def _equivariant_stage(case, modules):
     )
     pic_details = {"factors": lines, "h1_pic_model_assembled": assembled}
     return (pi1_ok, pi1_details), (pic_ok, pic_details)
-
-
-@lru_cache(maxsize=None)
-def _pi1_facts(sigs):
-    """H^1(P, Pi_1) and whether P fixes the point 0, once per tuple of factor
-    signatures ((degree, "S" or "A", torsor flag), ...) in factor order.  P
-    is the direct product of the P_i of ``_torsor_facts``, read only through
-    its permutations of the points, whose number is checked against the
-    lattice model's ambient dimension."""
-    facts = [_torsor_facts(*sig) for sig in sigs]
-    p_group = direct_product(*(FiniteGroup(gens, blocks=blocks) for gens, blocks, _, _ in facts))
-    perms = point_permutations(p_group)
-    model = _lattice_model(sum((d - 1) // 2 for d, _, _ in sigs))
-    if len(perms[0]) != model.ambient_dim:
-        raise ActionMismatch(f"P permutes {len(perms[0])} points, not {model.ambient_dim}")
-    return h1_pi1_from_points(perms), all(perm[0] == 0 for perm in perms)
 
 
 def _conclusions(case, failing):

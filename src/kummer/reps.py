@@ -74,11 +74,6 @@ def permutation_module(group: FiniteGroup, l: int = 2) -> GModule:
     return GModule(group, n, l, tuple(mats))
 
 
-def trivial_module(group: FiniteGroup, dim: int = 1, l: int = 2) -> GModule:
-    eye = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    return GModule(group, dim, l, tuple(eye for _ in group.generators))
-
-
 def zero_sum_module(group: FiniteGroup, d: int) -> GModule:
     """Zero-sum subspace of the permutation module F_2^d of a group on d points.
 
@@ -277,31 +272,3 @@ def h0(m: GModule) -> int:
 def with_character(m: GModule, character) -> GModule:
     return GModule(m.group, m.dim, m.l, m.generator_matrices, tuple(character))
 
-
-def invariant_alternating_form(m: GModule):
-    """A nonzero G-invariant alternating bilinear form, or None.
-
-    Witnesses embeddings into the symplectic group of the form.
-    """
-    dim, l = m.dim, m.l
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    rows = []
-    for a in m.generator_matrices:
-        # B(Mx, My) = B(x, y) with B alternating: unknowns B_ij (i<j)
-        for i, j in pairs:
-            row = [0] * len(pairs)
-            for k, t in pairs:
-                coeff = (a[k][i] * a[t][j] - a[t][i] * a[k][j]) % l
-                row[pairs.index((k, t))] = (
-                    row[pairs.index((k, t))] + coeff - (1 if (k, t) == (i, j) else 0)
-                ) % l
-            rows.append(row)
-    basis = fp.kernel_basis(rows, len(pairs), l)
-    if not basis:
-        return None
-    b = basis[0]
-    form = [[0] * dim for _ in range(dim)]
-    for (i, j), x in zip(pairs, b):
-        form[i][j] = x
-        form[j][i] = (-x) % l
-    return form

@@ -44,14 +44,6 @@ class ZMatrix:
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.nrows, self.ncols))]
 
-    def is_diagonal(self):
-        return all(
-            self.data[i][j] == 0
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-            if i != j
-        )
-
 
 def xgcd(a, b):
     """Extended gcd: returns (g, s, t) with s*a + t*b = g >= 0."""
@@ -282,7 +274,7 @@ class RowSolver:
         self.nrows = len(basis_rows)
         res = _snf(ZMatrix(basis_rows)) if basis_rows else None
         if res is not None and res.rank != self.nrows:
-            raise ValueError("basis rows are not linearly independent")
+            raise DimensionMismatch("basis rows are not linearly independent")
         self._res = res
 
     def solve(self, b):

@@ -12,14 +12,7 @@ from kummer import pipeline  # noqa: E402
 
 
 def clear_pipeline_memo():
-    for memo in (
-        pipeline._factor_facts,
-        pipeline._torsor_facts,
-        pipeline._lattice_model,
-        pipeline._product_audit,
-        pipeline._pi1_facts,
-    ):
-        memo.cache_clear()
+    pipeline._signature_outcomes.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -517,7 +517,7 @@ def full_product_equivariant_stage(case, modules):
     p_group = direct_product(*[torsor_factor_group(m, flag) for m, flag in zip(modules, flags)])
     eq = equivariant_lattice(build_nikulin_lattice(case.g), p_group, flags)
     h1_pi1 = eq.h1_pi1_two_torsion()
-    perm_basis = eq.permutation_basis_exists()
+    perm_basis = permutation_basis_exists(eq)
     all_trivial = not any(flags)
     pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
     pi1_details = {
@@ -649,3 +649,131 @@ def ddf_cycle_type(coeffs, p):
             assert not r
             h = _pdivmod(h, rem, p)[1] if len(h) >= len(rem) else h
     return tuple(sorted(degrees))
+
+
+# ---------------------------------------------------------------------------
+# small helpers that only tests call: the engine's former methods and
+# functions that no verdict reads
+
+
+def witness_for(cert, role):
+    """(prime, cycle type) of the certificate's first witness with this role."""
+    for p, t, r in cert.witnesses:
+        if r == role:
+            return p, t
+    return None
+
+
+def f2_from_rows(rows, ncols=None):
+    """An F2Matrix from an iterable of 0/1 sequences."""
+    from kummer.errors import DimensionMismatch
+    from kummer.gf2 import F2Matrix
+
+    rows = [list(r) for r in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    packed = []
+    for r in rows:
+        if len(r) != ncols:
+            raise DimensionMismatch(f"a row of length {len(r)} in a matrix of {ncols} columns")
+        acc = 0
+        for j, v in enumerate(r):
+            if v & 1:
+                acc |= 1 << j
+        packed.append(acc)
+    return F2Matrix(len(rows), ncols, packed)
+
+
+def mat_inverse(rows):
+    """Inverse of an invertible packed-row F_2 matrix."""
+    n = len(rows)
+    work = list(rows)
+    inv = [1 << i for i in range(n)]
+    for c in range(n):
+        mask = 1 << c
+        src = None
+        for i in range(c, n):
+            if work[i] & mask:
+                src = i
+                break
+        if src is None:
+            raise ValueError("matrix is singular over F_2")
+        work[c], work[src] = work[src], work[c]
+        inv[c], inv[src] = inv[src], inv[c]
+        for i in range(n):
+            if i != c and work[i] & mask:
+                work[i] ^= work[c]
+                inv[i] ^= inv[c]
+    return inv
+
+
+def exponent(group):
+    """The lcm of the element orders of an enumerated group."""
+    import math
+
+    return math.lcm(*set(group.element_orders()))
+
+
+def exceptional_intersections(g):
+    """Pairing of exceptional classes against their ruling curves: -2 I."""
+    from kummer.errors import GTooLarge
+    from kummer.picard import EQUIVARIANT_G_CAP
+
+    if g < 2:
+        raise GTooLarge("the model needs g >= 2")
+    if g > EQUIVARIANT_G_CAP:
+        raise GTooLarge(f"intersection table capped at g <= {EQUIVARIANT_G_CAP}")
+    n = 1 << (2 * g)
+    return [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def permutation_basis_exists(eq):
+    """Is {e_x : x != 0} + {half the full sum} stable under every generator of
+    an EquivariantModel's group."""
+    return all(perm[0] == 0 for perm in eq.point_perms)
+
+
+def trivial_module(group, dim=1, l=2):
+    """The trivial module F_l^dim of a group."""
+    from kummer.reps import GModule
+
+    eye = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return GModule(group, dim, l, tuple(eye for _ in group.generators))
+
+
+def invariant_alternating_form(m):
+    """A nonzero G-invariant alternating bilinear form of a module, or None.
+
+    Witnesses embeddings into the symplectic group of the form.
+    """
+    from kummer.fp import kernel_basis
+
+    dim, l = m.dim, m.l
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rows = []
+    for a in m.generator_matrices:
+        # B(Mx, My) = B(x, y) with B alternating: unknowns B_ij (i<j)
+        for i, j in pairs:
+            row = [0] * len(pairs)
+            for k, t in pairs:
+                coeff = (a[k][i] * a[t][j] - a[t][i] * a[k][j]) % l
+                row[pairs.index((k, t))] = (
+                    row[pairs.index((k, t))] + coeff - (1 if (k, t) == (i, j) else 0)
+                ) % l
+            rows.append(row)
+    basis = kernel_basis(rows, len(pairs), l)
+    if not basis:
+        return None
+    b = basis[0]
+    form = [[0] * dim for _ in range(dim)]
+    for (i, j), x in zip(pairs, b):
+        form[i][j] = x
+        form[j][i] = (-x) % l
+    return form
+
+
+def is_diagonal(zmat):
+    """Is every off-diagonal entry of a ZMatrix zero."""
+    return all(
+        zmat.data[i][j] == 0 for i in range(zmat.nrows) for j in range(zmat.ncols) if i != j
+    )

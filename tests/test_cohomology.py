@@ -23,11 +23,10 @@ from kummer.reps import (
     GModule,
     permutation_module,
     standard_module,
-    trivial_module,
     zero_sum_module,
 )
 
-from oracles import brute_force_h1
+from oracles import brute_force_h1, trivial_module
 
 
 def test_h1_standard_s5_vanishes():

@@ -150,7 +150,8 @@ def _stage_inputs(degrees, kinds, flags):
 )
 def test_equivariant_stage_matches_the_full_product_oracle(degrees, kinds, flags):
     assert len(SIGNATURES) == 27
-    fast = pipeline._equivariant_stage(*_stage_inputs(degrees, kinds, flags))
+    _, modules = _stage_inputs(degrees, kinds, flags)
+    fast = pipeline._equivariant_stage(tuple(zip(degrees, kinds, flags)), modules)
     slow = full_product_equivariant_stage(*_stage_inputs(degrees, kinds, flags))
     assert fast == slow
 

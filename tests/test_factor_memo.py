@@ -1,7 +1,7 @@
-"""The pipeline's per-process memo of factor facts and of the product's
-facts per tuple of factor signatures: a warm memo gives the same report
-bytes as a cold one, does no group work again, hands out no shared dicts,
-and keeps nothing from a fill that raised."""
+"""The pipeline's per-process memo of stages 3 to 6 per tuple of factor
+signatures: a warm memo gives the same report bytes as a cold one, does no
+group work again, hands out no shared dicts, and keeps nothing from a fill
+that raised; one fill harvests each distinct factor module once."""
 
 import hashlib
 from itertools import product
@@ -10,11 +10,9 @@ import pytest
 
 from conftest import clear_pipeline_memo
 from kummer import cohomology, disjoint, galois, pipeline
-from kummer.errors import ActionMismatch
 from kummer.galois import IntPolynomial
 from kummer.groups import FiniteGroup
 from kummer.pipeline import CaseInput, FactorInput, run_case
-from kummer.reps import GModule, standard_module
 from test_equivariant_stage import SIGNATURES
 
 # polynomials with Galois group S_d or A_d, distinct ones per degree
@@ -29,8 +27,8 @@ POLYS = {
 
 def _product_signatures():
     """Every two- and three-factor layout with g <= 3 that stage 3 reaches
-    but ``SIGNATURES`` leaves out: a quintic before a cubic.  The product
-    memo is keyed in factor order, so (5, 3) is a tuple of its own."""
+    but ``SIGNATURES`` leaves out: a quintic before a cubic.  The memo
+    is keyed in factor order, so (5, 3) is a tuple of its own."""
     for kind, flags in product(("S", "A"), product((False, True), repeat=2)):
         yield (5, 3), (kind, "S"), flags
 
@@ -182,11 +180,10 @@ def test_a_fill_that_raises_is_not_kept(name, monkeypatch):
     assert calls
 
 
-def test_the_memo_answers_only_for_a_standard_module():
-    # the equivariant stage keys the memo by the module's signature, so a
-    # module with other matrices must be refused, not answered for S_5
-    case = signature_case((5,), ("S",), (True,))
-    m = standard_module(5, "S")
-    a, b = m.generator_matrices
-    with pytest.raises(ActionMismatch):
-        pipeline._equivariant_stage(case, [GModule(m.group, m.dim, m.l, (b, a))])
+def test_one_fill_harvests_each_distinct_module_once(monkeypatch):
+    # three S_3 factors share one (degree, S/A) module within the fill, so
+    # its Z^1 rows are harvested once and reused by stages 4 and 6
+    harvests = record_calls(monkeypatch, cohomology, "_harvest_constraints_f2")
+    case = signature_case((3, 3, 3), ("S", "S", "S"), (False, False, False))
+    assert run_case(case).asserted
+    assert len(harvests) == 1

@@ -19,6 +19,7 @@ from kummer.groups import (
 )
 
 from oracles import DirectElement as ODirect
+from oracles import exponent
 from oracles import FpMat
 from oracles import Perm as OPerm
 from oracles import SemidirectElement as OSemidirect
@@ -101,7 +102,7 @@ def test_semidirect_zero_dim_isomorphic():
     base = m.group
     assert g0.order() == base.order()
     assert g0.element_orders() == base.element_orders()
-    assert g0.exponent() == base.exponent()
+    assert exponent(g0) == exponent(base)
 
 
 def test_semidirect_dimension_mismatch():

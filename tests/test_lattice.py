@@ -46,7 +46,7 @@ def test_saturate_idempotent_and_index_finite():
         n = rng.randrange(1, 5)
         k = rng.randrange(1, n + 1)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
-        lat = Lattice.from_generators(n, rows)
+        lat = Lattice(n, rows)
         if lat.rank == 0:
             continue
         sat = saturate(lat)

@@ -12,7 +12,6 @@ from kummer.picard import (
     canonical_class,
     canonical_class_in_pi1,
     equivariant_lattice,
-    exceptional_intersections,
     h1_two_torsion_dim,
     lattice_action_matrices,
     numerology,
@@ -20,8 +19,14 @@ from kummer.picard import (
     torsor_factor_group,
     zt_in_pi_coordinates,
 )
-from kummer.reps import standard_module, trivial_module
-from oracles import dense_nikulin_lattices
+from kummer.reps import standard_module
+from oracles import (
+    dense_nikulin_lattices,
+    exceptional_intersections,
+    mat_inverse,
+    permutation_basis_exists,
+    trivial_module,
+)
 
 
 def test_model_invariants_g2():
@@ -174,7 +179,7 @@ def test_equivariant_trivial_torsor_permutation_module():
     mod = standard_module(5, "S")
     p = direct_product(torsor_factor_group(mod, False))
     eq = equivariant_lattice(m, p, [False])
-    assert eq.permutation_basis_exists() is True
+    assert permutation_basis_exists(eq) is True
     assert eq.h1_pi1_two_torsion() == 0
     assert h1_dim(eq.factor_modules[0]) == 0
 
@@ -184,7 +189,7 @@ def test_equivariant_nontrivial_torsor():
     mod = standard_module(5, "S")
     p = direct_product(torsor_factor_group(mod, True))
     eq = equivariant_lattice(m, p, [True])
-    assert eq.permutation_basis_exists() is False
+    assert permutation_basis_exists(eq) is False
     assert eq.h1_pi1_two_torsion() == 0
     assert h1_dim(eq.factor_modules[0]) == 1
     assert cocycle_class_is_nonzero(eq.factor_modules[0], eq.tau_cocycles[0])
@@ -208,7 +213,7 @@ def test_equivariant_identity_group():
     p = direct_product(torsor_factor_group(mod, False))
     eq = equivariant_lattice(m, p, [False])
     assert eq.h1_pi1_two_torsion() == 0
-    assert eq.permutation_basis_exists() is True
+    assert permutation_basis_exists(eq) is True
 
 
 def test_equivariant_flag_mismatch():
@@ -285,8 +290,6 @@ def test_h1_two_torsion_cyclic_oracle():
 
 def test_relabel_invariance():
     # outputs must not depend on the chosen bijection points ~ F_2^{2g}
-    from kummer.gf2 import mat_inverse
-
     m = build_nikulin_lattice(2)
     mod = standard_module(5, "S")
     p = direct_product(torsor_factor_group(mod, True))

@@ -16,11 +16,11 @@ from kummer.errors import (
     InputError,
     LatticeCheckFailed,
 )
-from kummer.galois import _cycle_type_from_traces, _frobenius_traces
+from kummer.galois import IntPolynomial, _cycle_type_from_traces, _frobenius_traces, certify_galois
 from kummer.gf2 import F2Matrix
 from kummer.lattice import Lattice
 from kummer.picard import numerology
-from kummer.smith import ZMatrix, bareiss_det
+from kummer.smith import RowSolver, ZMatrix, bareiss_det
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,15 +46,16 @@ def _corrupted_trace():
 SITES = {
     "f2-row-count": (lambda: F2Matrix(2, 3, [1]), DimensionMismatch),
     "f2-row-width": (lambda: F2Matrix(1, 2, [4]), DimensionMismatch),
-    "f2-from-rows-width": (lambda: F2Matrix.from_rows([[1, 0], [1]]), DimensionMismatch),
     "lattice-denominator": (lambda: Lattice(2, [[1, 0]], den=0), InputError),
     "lattice-row-length": (lambda: Lattice(2, [[1, 0, 0]]), DimensionMismatch),
     "zmatrix-ragged": (lambda: ZMatrix([[1, 2], [3]]), DimensionMismatch),
     "zmatrix-product-shape": (lambda: ZMatrix([[1, 2]]) * ZMatrix([[1, 2]]), DimensionMismatch),
     "bareiss-det-not-square": (lambda: bareiss_det([[1, 2], [3]]), DimensionMismatch),
+    "row-solver-dependent-rows": (lambda: RowSolver([[1, 2], [2, 4]], 2), DimensionMismatch),
     "numerology-ns-rank": (lambda: numerology(2, 0), InputError),
     "numerology-b2": (_b2_off_dim_h2, LatticeCheckFailed),
     "galois-corrupted-trace": (_corrupted_trace, GaloisCheckFailed),
+    "galois-degree-below-3": (lambda: certify_galois(IntPolynomial((1, 1))), InputError),
 }
 
 
