@@ -31,6 +31,7 @@ from .pipeline import (
     audit_example_2_goursat,
     audit_example_3_desk,
     parse_case,
+    report_json,
     run_case,
 )
 
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
                 "example2": audit_example_2_goursat,
                 "example3": audit_example_3_desk,
             }[args.audit]()
-            _emit(json.dumps({"audit": args.audit, "record": record}, sort_keys=True, indent=2) + "\n", args.report)
+            _emit(report_json({"audit": args.audit, "record": record}), args.report)
             return 0
         if not args.input:
             raise InputError("--input is required unless --audit is given")

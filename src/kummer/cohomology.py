@@ -18,7 +18,6 @@ on the module, so each module is harvested and validated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import xor
 
 from . import fp, gf2
@@ -27,19 +26,21 @@ from .gf2 import F2Echelon
 from .reps import GModule
 
 
-@dataclass
 class CocycleSpace:
     """Z^1 / B^1 data for a module; cocycle_basis[i][j] = value on generator j."""
 
-    module: GModule
-    z1_dim: int
-    b1_dim: int
-    h1_dim: int
-    cocycle_basis: tuple
+    __slots__ = ("module", "z1_dim", "b1_dim", "h1_dim", "cocycle_basis")
 
-    def __post_init__(self):
-        if self.h1_dim != self.z1_dim - self.b1_dim:
-            raise GroupCheckFailed(f"h1 {self.h1_dim} != z1 {self.z1_dim} - b1 {self.b1_dim}")
+    def __init__(
+        self, module: GModule, z1_dim: int, b1_dim: int, h1_dim: int, cocycle_basis: tuple
+    ):
+        if h1_dim != z1_dim - b1_dim:
+            raise GroupCheckFailed(f"h1 {h1_dim} != z1 {z1_dim} - b1 {b1_dim}")
+        self.module = module
+        self.z1_dim = z1_dim
+        self.b1_dim = b1_dim
+        self.h1_dim = h1_dim
+        self.cocycle_basis = cocycle_basis
 
 
 def h1(m: GModule) -> CocycleSpace:

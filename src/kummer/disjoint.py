@@ -10,9 +10,8 @@ alternating groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FactorBudgetExceeded, InputError, InputMismatch, ZeroInput
+from .frozen import Frozen
 from .galois import (
     RAMIFIED,
     IntPolynomial,
@@ -25,18 +24,18 @@ from .galois import (
 from .gf2 import F2Matrix
 
 
-@dataclass(frozen=True)
-class DiscClass:
+class DiscClass(Frozen):
     """Class of a discriminant in Q*/Q*^2: squarefree prime support and sign."""
 
-    squarefree_support: tuple
-    sign: int  # +1 or -1
+    __slots__ = ("squarefree_support", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InputError(f"sign must be +1 or -1, got {self.sign!r}")
-        if list(self.squarefree_support) != sorted(set(self.squarefree_support)):
+    def __init__(self, squarefree_support, sign):
+        if sign not in (1, -1):
+            raise InputError(f"sign must be +1 or -1, got {sign!r}")
+        if list(squarefree_support) != sorted(set(squarefree_support)):
             raise InputError("squarefree support must be sorted and without repeats")
+        object.__setattr__(self, "squarefree_support", squarefree_support)
+        object.__setattr__(self, "sign", sign)
 
 
 def squarefree_kernel(n: int, trial_bound: int = 100_000, rho_budget: int = 400_000):
@@ -87,11 +86,15 @@ def disc_class(d: int) -> DiscClass:
     return DiscClass(support, sign)
 
 
-@dataclass(frozen=True)
-class DisjointnessCertificate:
-    verdict: str  # "Certified" | "HeuristicOnly" | "Failed"
-    reason: str
-    disc_independence_matrix: F2Matrix
+class DisjointnessCertificate(Frozen):
+    """verdict is "Certified", "HeuristicOnly" or "Failed"."""
+
+    __slots__ = ("verdict", "reason", "disc_independence_matrix")
+
+    def __init__(self, verdict, reason, disc_independence_matrix: F2Matrix):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "disc_independence_matrix", disc_independence_matrix)
 
 
 def certify_family_disjoint(certs, classes) -> DisjointnessCertificate:

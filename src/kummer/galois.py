@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -35,17 +34,17 @@ from .errors import (
     InputError,
     ZeroInput,
 )
+from .frozen import Frozen
 from .smith import bareiss_det
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Univariate polynomial over Z, coefficients constant-first."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = tuple(coefficients)
         for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InputError(f"coefficient {c!r} is not an integer")
@@ -451,15 +450,32 @@ def cycle_type_mod_p(f: IntPolynomial, p: int):
 # certification
 
 
-@dataclass(frozen=True)
-class GaloisCertificate:
-    degree: int
-    verdict: str  # "SymmetricGroup" | "AlternatingGroup" | "Unknown"
-    witnesses: tuple  # (prime, cycle_type, role) triples in ascending prime order
-    disc_square: bool
-    prime_bound_used: int
-    discriminant: int
-    diagnostics: str = ""
+class GaloisCertificate(Frozen):
+    """verdict is "SymmetricGroup", "AlternatingGroup" or "Unknown";
+    witnesses are (prime, cycle_type, role) triples in ascending prime order."""
+
+    __slots__ = (
+        "degree",
+        "verdict",
+        "witnesses",
+        "disc_square",
+        "prime_bound_used",
+        "discriminant",
+        "diagnostics",
+    )
+
+    def __init__(
+        self, degree, verdict, witnesses, disc_square, prime_bound_used, discriminant,
+        diagnostics="",
+    ):
+        init = object.__setattr__
+        init(self, "degree", degree)
+        init(self, "verdict", verdict)
+        init(self, "witnesses", witnesses)
+        init(self, "disc_square", disc_square)
+        init(self, "prime_bound_used", prime_bound_used)
+        init(self, "discriminant", discriminant)
+        init(self, "diagnostics", diagnostics)
 
 
 def _power_cycle_types(t):

@@ -9,10 +9,10 @@ L(x) = c, and Pi_1 by Z[T] together with half the full sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import gf2
 from .errors import ActionMismatch, GTooLarge, InputError, LatticeCheckFailed, NotASublattice
+from .frozen import Frozen
 from .groups import FiniteGroup, affine, affine_extension, images
 from .lattice import Lattice, lattice_index
 from .reps import GModule
@@ -22,13 +22,15 @@ EQUIVARIANT_G_CAP = 3
 NUMEROLOGY_G_CAP = 6
 
 
-@dataclass(frozen=True)
-class KummerLatticeModel:
-    g: int
-    ambient_dim: int
-    zt: Lattice
-    pi1: Lattice
-    pi: Lattice
+class KummerLatticeModel(Frozen):
+    __slots__ = ("g", "ambient_dim", "zt", "pi1", "pi")
+
+    def __init__(self, g: int, ambient_dim: int, zt: Lattice, pi1: Lattice, pi: Lattice):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "zt", zt)
+        object.__setattr__(self, "pi1", pi1)
+        object.__setattr__(self, "pi", pi)
 
 
 def _half_sum_row(g, L, c):
@@ -288,18 +290,29 @@ def h1_two_torsion_dim(int_mats):
     return rank_q - rank_f2
 
 
-@dataclass
 class EquivariantModel:
-    """Action of the torsor Galois group on the lattice filtration."""
+    """Action of the torsor Galois group on the lattice filtration.
 
-    model: KummerLatticeModel
-    group: FiniteGroup
-    flags: tuple
-    dims: tuple
-    point_perms: list
-    pi1_matrices: list
-    factor_modules: list  # GModule of the product group on each V_i
-    tau_cocycles: list  # per factor: tuple over generators of F_2 vectors
+    factor_modules holds the GModule of the product group on each V_i, and
+    tau_cocycles, per factor, a tuple over generators of F_2 vectors."""
+
+    __slots__ = (
+        "model", "group", "flags", "dims", "point_perms", "pi1_matrices", "factor_modules",
+        "tau_cocycles",
+    )
+
+    def __init__(
+        self, model: KummerLatticeModel, group: FiniteGroup, flags: tuple, dims: tuple,
+        point_perms: list, pi1_matrices: list, factor_modules: list, tau_cocycles: list,
+    ):
+        self.model = model
+        self.group = group
+        self.flags = flags
+        self.dims = dims
+        self.point_perms = point_perms
+        self.pi1_matrices = pi1_matrices
+        self.factor_modules = factor_modules
+        self.tau_cocycles = tau_cocycles
 
     def h1_pi1_two_torsion(self):
         """All of H^1(P, Pi_1): the exceptional-class sublattice is a

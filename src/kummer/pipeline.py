@@ -32,12 +32,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cohomology import cocycle_class_is_nonzero, h1_dim, validate_module
 from .disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
 from .errors import ActionMismatch, EngineError, FactorBudgetExceeded, GroupCheckFailed, InputError
+from .frozen import Frozen
 from .galois import IntPolynomial, certify_galois, discriminant
 from .groups import (
     affine,
@@ -103,31 +104,33 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class FactorInput:
-    poly: IntPolynomial
-    torsor_nontrivial: bool
+class FactorInput(Frozen):
+    __slots__ = ("poly", "torsor_nontrivial")
+
+    def __init__(self, poly: IntPolynomial, torsor_nontrivial: bool):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "torsor_nontrivial", torsor_nontrivial)
 
 
-@dataclass(frozen=True)
-class CaseInput:
-    factors: tuple
-    prime_bound: int = 1000
-    mode: str = "certify"
+class CaseInput(Frozen):
+    __slots__ = ("factors", "prime_bound", "mode")
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple, prime_bound: int = 1000, mode: str = "certify"):
+        if not factors:
             raise InputError("at least one factor is required")
-        if self.mode not in ("certify", "heuristic"):
-            raise InputError(f"unknown mode {self.mode!r}")
+        if mode not in ("certify", "heuristic"):
+            raise InputError(f"unknown mode {mode!r}")
         g = 0
-        for f in self.factors:
+        for f in factors:
             d = f.poly.degree
             if d % 2 == 0 or d < 3:
                 raise InputError(f"factor degrees must be odd and >= 3, got {d}")
             g += (d - 1) // 2
         if g < 2:
             raise InputError("total abelian dimension g must be at least 2")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "prime_bound", prime_bound)
+        object.__setattr__(self, "mode", mode)
 
     @property
     def g(self):
@@ -193,13 +196,75 @@ def parse_case(obj) -> CaseInput:
     return CaseInput(tuple(factors), prime_bound, mode)
 
 
-@dataclass
+def report_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for what a report or an audit record holds: dicts with str keys, lists,
+    tuples, str, int, float, bool and None.  A key that is not a str, a value
+    of any other type (TypeError) and a nan or an infinity (ValueError) raise
+    where json.dumps would coerce them or write something that is not JSON.
+    With an indent, json.dumps runs its general encoder in pure Python; this
+    is only the dict, list and scalar cases a report needs."""
+    out = []
+    _encode(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value, newline, out):
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} has no JSON form")
+        out.append(float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
+
+
 class VerdictReport:
-    case: dict
-    hypotheses: list
-    equivariant_audit: dict | None
-    conclusions: dict
-    citations: list
+    __slots__ = ("case", "hypotheses", "equivariant_audit", "conclusions", "citations")
+
+    def __init__(
+        self, case: dict, hypotheses: list, equivariant_audit: dict | None, conclusions: dict,
+        citations: list,
+    ):
+        self.case = case
+        self.hypotheses = hypotheses
+        self.equivariant_audit = equivariant_audit
+        self.conclusions = conclusions
+        self.citations = citations
 
     def to_dict(self):
         return {
@@ -211,7 +276,7 @@ class VerdictReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return report_json(self.to_dict())
 
     @property
     def asserted(self):

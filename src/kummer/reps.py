@@ -8,8 +8,6 @@ cocycle machinery before any cohomology is trusted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import fp
 from .errors import DimensionMismatch, DimTooLarge, EvenDegree, GroupMismatch, MissingCharacter
 from .groups import FiniteGroup, alternating_group, images, symmetric_group
@@ -17,34 +15,45 @@ from .groups import FiniteGroup, alternating_group, images, symmetric_group
 SPIN_DIM_BOUND = 24
 
 
-@dataclass
 class GModule:
-    """Action of a FiniteGroup on F_l^dim via one matrix per generator."""
+    """Action of a FiniteGroup on F_l^dim via one matrix per generator.
 
-    group: FiniteGroup
-    dim: int
-    l: int
-    generator_matrices: tuple
-    character: tuple | None = None
-    _z1_rows: tuple | None = field(default=None, repr=False, compare=False)
+    Equal modules have the same fields; the Z^1 rows cached on a module
+    (``_z1_rows``) take no part in equality."""
 
-    def __post_init__(self):
+    __slots__ = ("group", "dim", "l", "generator_matrices", "character", "_z1_rows")
+
+    def __init__(
+        self, group: FiniteGroup, dim: int, l: int, generator_matrices: tuple,
+        character: tuple | None = None,
+    ):
+        self.group = group
+        self.dim = dim
+        self.l = l
         self.generator_matrices = tuple(
-            tuple(tuple(x % self.l for x in row) for row in m)
-            for m in self.generator_matrices
+            tuple(tuple(x % l for x in row) for row in m) for m in generator_matrices
         )
-        k = len(self.group.generators)
+        self.character = None
+        self._z1_rows = None
+        k = len(group.generators)
         if len(self.generator_matrices) != k:
             raise DimensionMismatch(f"need {k} generator matrices, one per generator")
         for m in self.generator_matrices:
-            if len(m) != self.dim or any(len(r) != self.dim for r in m):
-                raise DimensionMismatch(f"a generator matrix is not {self.dim} x {self.dim}")
-        if self.character is not None:
-            self.character = tuple(x % self.l for x in self.character)
+            if len(m) != dim or any(len(r) != dim for r in m):
+                raise DimensionMismatch(f"a generator matrix is not {dim} x {dim}")
+        if character is not None:
+            self.character = tuple(x % l for x in character)
             if len(self.character) != k:
                 raise DimensionMismatch(f"need {k} character values, one per generator")
             if not all(self.character):
-                raise GroupMismatch(f"character values must be units of F_{self.l}")
+                raise GroupMismatch(f"character values must be units of F_{l}")
+
+    def __eq__(self, other):
+        if other.__class__ is not GModule:
+            return NotImplemented
+        return (self.group, self.dim, self.l, self.generator_matrices, self.character) == (
+            other.group, other.dim, other.l, other.generator_matrices, other.character
+        )
 
     @property
     def _validated(self) -> bool:

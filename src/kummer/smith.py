@@ -6,8 +6,6 @@ modular shortcuts anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch
 
 
@@ -58,13 +56,15 @@ def xgcd(a, b):
     return a, s0, t0
 
 
-@dataclass
 class SNFResult:
-    U: ZMatrix
-    D: ZMatrix
-    V: ZMatrix
-    Vinv: ZMatrix
-    rank: int
+    __slots__ = ("U", "D", "V", "Vinv", "rank")
+
+    def __init__(self, U: ZMatrix, D: ZMatrix, V: ZMatrix, Vinv: ZMatrix, rank: int):
+        self.U = U
+        self.D = D
+        self.V = V
+        self.Vinv = Vinv
+        self.rank = rank
 
 
 def _snf(mat: ZMatrix) -> SNFResult:

@@ -1,0 +1,35 @@
+"""What a fresh ``import kummer.cli`` loads.
+
+A verdict runs in its own process, so import time is part of every verdict.
+The engine imports only the standard-library modules it uses: no
+``dataclasses``, which brings ``inspect``, ``ast``, ``dis`` and ``tokenize``
+with it and compiles generated code for each decorated class.  Every engine
+module on the verdict path is imported up front, so none of that cost moves
+into the first call.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+NOT_LOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+ENGINE = (
+    "galois", "disjoint", "groups", "reps", "cohomology", "picard", "lattice", "smith", "gf2", "fp",
+)
+
+
+def test_cli_import_loads_no_dataclasses_and_defers_no_engine_module():
+    script = "import sys\nimport kummer.cli\nprint(*sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert "kummer.cli" in loaded
+    assert [name for name in NOT_LOADED if name in loaded] == []
+    assert [name for name in ENGINE if f"kummer.{name}" not in loaded] == []

@@ -1,6 +1,8 @@
 """The shape and contract checks of the linear-algebra and lattice layers,
-and the consistency check of the Frobenius traces, raise typed errors, not
-asserts, so they survive ``python -O``."""
+the consistency check of the Frobenius traces, and the checks the value
+classes make on construction raise typed errors, not asserts, so they survive
+``python -O``.  The read-only value classes compare and hash by value and
+refuse assignment."""
 
 import math
 import subprocess
@@ -9,17 +11,30 @@ from pathlib import Path
 
 import pytest
 
+from kummer.cohomology import CocycleSpace
+from kummer.disjoint import DiscClass, DisjointnessCertificate
 from kummer.errors import (
     DimensionMismatch,
     EngineError,
     GaloisCheckFailed,
+    GroupCheckFailed,
+    GroupMismatch,
     InputError,
     LatticeCheckFailed,
 )
-from kummer.galois import IntPolynomial, _cycle_type_from_traces, _frobenius_traces, certify_galois
+from kummer.galois import (
+    GaloisCertificate,
+    IntPolynomial,
+    _cycle_type_from_traces,
+    _frobenius_traces,
+    certify_galois,
+)
 from kummer.gf2 import F2Matrix
+from kummer.groups import symmetric_group
 from kummer.lattice import Lattice
-from kummer.picard import numerology
+from kummer.picard import KummerLatticeModel, numerology
+from kummer.pipeline import CaseInput, FactorInput
+from kummer.reps import GModule, standard_module
 from kummer.smith import RowSolver, ZMatrix, bareiss_det
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +58,12 @@ def _corrupted_trace():
     _cycle_type_from_traces([t1, t2 + 1], 11, 5)
 
 
+X3 = IntPolynomial((-1, -1, 0, 1))  # x^3 - x - 1
+X5 = IntPolynomial((1, -1, 0, 0, 0, 1))  # x^5 - x + 1
+S3 = symmetric_group(3)
+EYE2 = ((1, 0), (0, 1))
+
+
 SITES = {
     "f2-row-count": (lambda: F2Matrix(2, 3, [1]), DimensionMismatch),
     "f2-row-width": (lambda: F2Matrix(1, 2, [4]), DimensionMismatch),
@@ -56,7 +77,66 @@ SITES = {
     "numerology-b2": (_b2_off_dim_h2, LatticeCheckFailed),
     "galois-corrupted-trace": (_corrupted_trace, GaloisCheckFailed),
     "galois-degree-below-3": (lambda: certify_galois(IntPolynomial((1, 1))), InputError),
+    "polynomial-float-coefficient": (lambda: IntPolynomial((1.7, 1)), InputError),
+    "polynomial-no-coefficients": (lambda: IntPolynomial(()), InputError),
+    "case-no-factors": (lambda: CaseInput(()), InputError),
+    "case-unknown-mode": (lambda: CaseInput((FactorInput(X5, False),) * 2, mode="x"), InputError),
+    "case-even-degree": (
+        lambda: CaseInput((FactorInput(IntPolynomial((1, 0, 1)), False),)),
+        InputError,
+    ),
+    "case-g-below-2": (lambda: CaseInput((FactorInput(X3, False),)), InputError),
+    "disc-class-sign": (lambda: DiscClass((3,), 2), InputError),
+    "disc-class-unsorted": (lambda: DiscClass((5, 3), 1), InputError),
+    "module-matrix-count": (lambda: GModule(S3, 2, 2, (EYE2,)), DimensionMismatch),
+    "module-matrix-shape": (lambda: GModule(S3, 2, 2, (EYE2, ((1, 0),))), DimensionMismatch),
+    "module-zero-character": (lambda: GModule(S3, 2, 3, (EYE2, EYE2), (1, 3)), GroupMismatch),
+    "cocycle-space-h1": (
+        lambda: CocycleSpace(standard_module(5, "S"), 4, 4, 1, ()),
+        GroupCheckFailed,
+    ),
 }
+
+
+def _matrix():
+    return F2Matrix(2, 2, [1, 3])
+
+
+def _integral_lattice():
+    return Lattice(2, [[1, 0], [0, 1]])
+
+
+def _half_lattice():
+    return Lattice(2, [[1, 1]], den=2)
+
+
+# each read-only value class: a builder of equal values and one of another
+# value; an F2Matrix or a Lattice field has no hash, so neither has its holder
+FROZEN = {
+    "IntPolynomial": (lambda: IntPolynomial((1, -1, 0, 0, 0, 1, 0)), lambda: X3),
+    "GaloisCertificate": (
+        lambda: GaloisCertificate(3, "SymmetricGroup", ((5, (1, 2), "odd"),), False, 100, -23),
+        lambda: GaloisCertificate(3, "Unknown", (), False, 100, -23, "exhausted"),
+    ),
+    "DiscClass": (lambda: DiscClass((19, 151), 1), lambda: DiscClass((19, 151), -1)),
+    "DisjointnessCertificate": (
+        lambda: DisjointnessCertificate("Certified", "ok", _matrix()),
+        lambda: DisjointnessCertificate("Failed", "ok", _matrix()),
+    ),
+    "FactorInput": (
+        lambda: FactorInput(IntPolynomial(X5.coefficients), True),
+        lambda: FactorInput(X5, False),
+    ),
+    "CaseInput": (
+        lambda: CaseInput((FactorInput(X5, True),), 500, "heuristic"),
+        lambda: CaseInput((FactorInput(X5, True),), 501, "heuristic"),
+    ),
+    "KummerLatticeModel": (
+        lambda: KummerLatticeModel(1, 2, _integral_lattice(), _half_lattice(), _half_lattice()),
+        lambda: KummerLatticeModel(1, 2, _integral_lattice(), _half_lattice(), Lattice(2, [])),
+    ),
+}
+UNHASHABLE = {"DisjointnessCertificate", "KummerLatticeModel"}
 
 
 @pytest.mark.parametrize("site", SITES)
@@ -85,3 +165,25 @@ def test_contract_checks_survive_optimize_flag():
     raised = dict(line.split(" ", 1) for line in out.stdout.splitlines())
     assert raised == {site: error.__name__ for site, (_, error) in SITES.items()}
     assert all(issubclass(error, EngineError) for _, error in SITES.values())
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_value_classes_compare_by_value_and_refuse_assignment(name):
+    build, build_other = FROZEN[name]
+    a, b, other = build(), build(), build_other()
+    assert a is not b and a == b and not a != b
+    assert a != other and a != tuple(getattr(a, f) for f in type(a).__slots__)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b, other}) == 2
+    for field in type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
