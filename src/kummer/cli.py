@@ -8,7 +8,8 @@ Exit codes: 0 = all conclusions asserted (and --help), 2 = conclusions
 withheld, 3 = a soundness check of the engine failed (GroupCheckFailed,
 GaloisCheckFailed, LatticeCheckFailed: the engine met contradictory evidence
 and asserts nothing), 1 = input error (including a command line argparse
-rejects) or any other engine error.
+rejects, and a --report path that cannot be written) or any other engine
+error.
 """
 
 from __future__ import annotations
@@ -71,11 +72,14 @@ def build_parser():
 
 
 def _emit(payload: str, path):
-    if path:
+    if not path:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        raise InputError(f"cannot write report {path}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -98,10 +102,9 @@ def main(argv=None) -> int:
             raise InputError(f"cannot read case file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"case file is not valid JSON: {exc}") from exc
-        if args.prime_bound is not None:
-            obj["prime_bound"] = args.prime_bound
-        if args.mode is not None:
-            obj["mode"] = args.mode
+        overrides = {"prime_bound": args.prime_bound, "mode": args.mode}
+        if isinstance(obj, dict):  # parse_case refuses any other JSON value
+            obj.update((key, value) for key, value in overrides.items() if value is not None)
         case = parse_case(obj)
         report = run_case(case, force_fail=args.force_fail)
         _emit(report.to_json(), args.report)

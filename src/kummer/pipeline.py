@@ -11,8 +11,10 @@ the two lattice checks, which share the model and P.  Each stage returns
 ``(passed, details)``, plus what later stages need.  ``run_case`` alone
 handles fault injection, the skips after a failed Galois certification, the
 strict torsor-count rule and the conclusions.  No stage enumerates a product
-group (stage 3 reads it through generator matrices, stage 5 works factor by
-factor), so every input beyond the lattice cap (g > 3) gets a withheld report.
+group (stage 3 reads it through generator matrices, stages 5 and 6 work
+factor by factor, and stage 6 reads H^1(P_i, V_i) off stages 3 and 4, so no
+V x| G is enumerated), so every input beyond the lattice cap (g > 3) gets a
+withheld report.
 
 Stages 3 to 6 depend only on the Galois-module type of each factor: the
 degree d, S_d or A_d, and whether the 2-covering is a nontrivial torsor.  So
@@ -48,6 +50,7 @@ from .groups import (
     general_symplectic_group,
     group_order_formula,
     has_index_l_normal_subgroup,
+    images,
     is_even,
     symmetric_group,
     symplectic_group,
@@ -65,6 +68,7 @@ from .picard import (
 )
 from .reps import (
     GModule,
+    _spins_to_full,
     endomorphism_algebra_dim,
     h0,
     hom_module_dim,
@@ -456,27 +460,34 @@ def _h1_stage(modules):
 
 
 def _torsor_factor(mod, flag):
-    """P_i = ``torsor_factor_group(V_i, flag)`` and stage 6's line for the
-    factor less its index: H^1(P_i, V_i) and the torsor class.  A trivial
-    torsor's P_i must be the linear lift of G_i, so V_i keeps G_i's module
-    and its cached harvest."""
+    """P_i = ``torsor_factor_group(V_i, flag)``, its order, and stage 6's line
+    for the factor less its index, read off stages 3 and 4 for either flag.
+
+    P_i's generators must be the translation by e_0 if the flag is set, then
+    G_i's generators with their matrices, no translation and their action on
+    G_i's points; and e_0 must spin up to V_i.  Then P_i = V_i x| G_i (or G_i),
+    |P_i| = 2^dim |G_i|, and inflation-restriction gives H^1(P_i, V_i) =
+    H^1(G_i, V_i) + End_{G_i}(V_i), as V_i acts trivially on V_i and G_i
+    splits P_i, so the transgression vanishes (Brown, Cohomology of Groups,
+    ch. VII).  The torsor cocycle restricts on V_i to the identity, and every
+    coboundary to 0, so its class is nonzero."""
     p_i = torsor_factor_group(mod, flag)
-    linear, tau = zip(*(affine(s, p_i.blocks[0]) for s in p_i.generators))
-    if not flag and (linear != mod.generator_matrices or any(map(any, tau))):
-        raise ActionMismatch(f"the trivial torsor group of {mod.group.name} is not its linear lift")
-    vmod = GModule(p_i, mod.dim, 2, linear) if flag else mod
-    hv = h1_dim(vmod)
-    line = {
-        "torsor_nontrivial": flag,
-        "h1_torsor_group_module": hv,
-        "expected": 1 if flag else 0,
-        "h1_pic_factor_model": hv,
-    }
+    dim, n, g = mod.dim, 1 << mod.dim, mod.group
+    e0 = [1] + [0] * (dim - 1)
+    lifts = [(m, (0,) * dim, s) for m, s in zip(mod.generator_matrices, g.generators)]
     if flag:
-        nonzero = cocycle_class_is_nonzero(vmod, tau)
-        line["torsor_class_nonzero"] = nonzero
-        line["h1_pic_factor_model"] = hv - (1 if nonzero else 0)
-    return p_i, line
+        eye = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
+        lifts.insert(0, (eye, tuple(e0), g.identity()))
+    expected = [(m, v, tuple(n + y for y in images(s))) for m, v, s in lifts]
+    found = [(*affine(x, p_i.blocks[0]), images(x)[n:]) for x in p_i.generators]
+    if found != expected or not _spins_to_full(e0, mod.generator_matrices, dim, 2):
+        raise ActionMismatch(f"the torsor group of {g.name} is not V x| G as declared")
+    hv = h1_dim(mod) + (endomorphism_algebra_dim(mod) if flag else 0)
+    line = {"torsor_nontrivial": flag, "h1_torsor_group_module": hv, "expected": int(flag)}
+    line["h1_pic_factor_model"] = hv - int(flag)
+    if flag:
+        line["torsor_class_nonzero"] = True
+    return p_i, g.order() << (dim if flag else 0), line
 
 
 def _equivariant_stage(sigs, modules):
@@ -484,7 +495,7 @@ def _equivariant_stage(sigs, modules):
     P_i = ``torsor_factor_group(V_i, flag_i)``: H^1(P, Pi_1) and the assembled
     H^1 of the Picard model, for the factor signatures ``sigs`` and their
     modules in factor order.  Returns the (passed, details) pairs of both
-    checks.  P is never enumerated, only each P_i, once per signature.
+    checks.  Neither P nor any P_i is enumerated.
 
     H^1(P, Pi_1) comes from the Schreier graph of P on the 2^{2g} points
     (``h1_pi1_from_points``).  V_i is inflated from P_i, and for P = P_i x P'
@@ -492,9 +503,8 @@ def _equivariant_stage(sigs, modules):
     (Brown, Cohomology of Groups, ch. III).  V_i^{P_i} = V_i^{G_i}, which
     stage 3 finds 0; with more than one factor a nonzero one raises.  The
     torsor cocycle is inflated from P_i, and inflation is injective on H^1,
-    so its class is tested on P_i.  A trivial torsor's P_i, the linear lift
-    of G_i, is faithful on G_i's own points, so it is G_i with the same
-    generator matrices and stage 4's H^1(G_i, V_i) is reused.
+    so its class is read on P_i; ``_torsor_factor`` reads it, H^1(P_i, V_i)
+    and |P_i| off stages 3 and 4.
 
     The lattice model is desk-bounded: beyond EQUIVARIANT_G_CAP both checks
     fail closed unrun, and every conclusion stays withheld.  Below it the
@@ -504,12 +514,8 @@ def _equivariant_stage(sigs, modules):
     if g > EQUIVARIANT_G_CAP:
         skip = f"total dimension g = {g} beyond the lattice cap g <= {EQUIVARIANT_G_CAP}"
         return (False, {"skipped": skip}), (False, {"skipped": skip})
-    torsors = {}
-    for sig, mod in zip(sigs, modules):
-        if sig not in torsors:
-            torsors[sig] = _torsor_factor(mod, sig[2])
-    p_groups = [torsors[sig][0] for sig in sigs]
-    perms = point_permutations(direct_product(*p_groups))
+    torsors = {sig: _torsor_factor(mod, sig[2]) for sig, mod in dict(zip(sigs, modules)).items()}
+    perms = point_permutations(direct_product(*(torsors[sig][0] for sig in sigs)))
     ambient = build_nikulin_lattice(g).ambient_dim
     if len(perms[0]) != ambient:
         raise ActionMismatch(f"P permutes {len(perms[0])} points, not {ambient}")
@@ -519,7 +525,7 @@ def _equivariant_stage(sigs, modules):
     all_trivial = not any(flag for _, _, flag in sigs)
     pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
     pi1_details = {
-        "group_order": math.prod(p_i.order() for p_i in p_groups),
+        "group_order": math.prod(torsors[sig][1] for sig in sigs),
         "h1_pi1": h1_pi1,
         "pi1_permutation_basis": perm_basis,
         "all_torsors_trivial": all_trivial,
@@ -527,7 +533,7 @@ def _equivariant_stage(sigs, modules):
     for i, mod in enumerate(modules):
         if len(modules) > 1 and h0(mod) != 0:
             raise EngineError(f"V_{i} has invariants: H^1(P, V_{i}) is not H^1(P_{i}, V_{i})")
-    lines = [{"factor": i, **torsors[sig][1]} for i, sig in enumerate(sigs)]
+    lines = [{"factor": i, **torsors[sig][2]} for i, sig in enumerate(sigs)]
     assembled = h1_pi1 + sum(line["h1_pic_factor_model"] for line in lines)
     pic_ok = pi1_ok and assembled == 0 and all(
         line["h1_torsor_group_module"] == line["expected"] and line["h1_pic_factor_model"] == 0
@@ -574,30 +580,19 @@ def _case_echo(case):
 
 
 def _cross_hom_dims(modules, prod_group):
-    """Hom dims between distinct factors viewed as modules of the product."""
-    out = {}
-    n = len(modules)
-    offsets_k = []
-    k = 0
-    for m in modules:
-        offsets_k.append(k)
-        k += len(m.group.generators)
-    total_gens = k
-
-    def lifted(i):
-        m = modules[i]
-        eye = tuple(tuple(1 if a == b else 0 for b in range(m.dim)) for a in range(m.dim))
+    """Hom dims between distinct factors viewed as modules of the product:
+    factor i acts by its own matrices, the other factors' generators fix it."""
+    lifted = []
+    for i, m in enumerate(modules):
+        eye = tuple(tuple(int(a == b) for b in range(m.dim)) for a in range(m.dim))
         mats = []
-        for j in range(total_gens):
-            lo = offsets_k[i]
-            hi = lo + len(m.group.generators)
-            mats.append(m.generator_matrices[j - lo] if lo <= j < hi else eye)
-        return GModule(prod_group, m.dim, m.l, tuple(mats))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[f"{i},{j}"] = hom_module_dim(lifted(i), lifted(j))
-    return out
+        for j, other in enumerate(modules):
+            mats += m.generator_matrices if j == i else [eye] * len(other.generator_matrices)
+        lifted.append(GModule(prod_group, m.dim, m.l, tuple(mats)))
+    n = len(modules)
+    return {
+        f"{i},{j}": hom_module_dim(lifted[i], lifted[j]) for i in range(n) for j in range(i + 1, n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +630,6 @@ def audit_example_1_odd(l: int) -> dict:
 
 def audit_example_2_goursat() -> dict:
     """Common-quotient analysis for S_6 x GSp(4, F_3) plus the sextic disc class."""
-    from .disjoint import disc_class as _dc
-
     s6 = symmetric_group(6)
     s6.enumerate()
     k6 = elementary_l_quotient_kernel(s6, 2)
@@ -651,7 +644,7 @@ def audit_example_2_goursat() -> dict:
     sp_inside = all(t in kg for t in sp.generators)
 
     sextic = IntPolynomial((5, -8, 4, 0, 4, -8, 4))
-    cls = _dc(discriminant(sextic))
+    cls = disc_class(discriminant(sextic))
 
     return {
         "s6": {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import fp
 from .errors import DimensionMismatch, DimTooLarge, EvenDegree, GroupMismatch, MissingCharacter
-from .groups import FiniteGroup, alternating_group, images, symmetric_group
+from .groups import FiniteGroup, alternating_group, direct_product, images, symmetric_group
 
 SPIN_DIM_BOUND = 24
 
@@ -120,8 +120,6 @@ def product_factor_module(groups_modules) -> GModule:
     Input: list of GModules, one per factor; all over the same prime.
     The resulting group is the direct product with the usual generator order.
     """
-    from .groups import direct_product
-
     mods = list(groups_modules)
     l = mods[0].l
     if any(m.l != l for m in mods):

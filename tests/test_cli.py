@@ -88,6 +88,30 @@ def test_strict_case_schema_exit_one(tmp_path, capsys):
     assert "prime_bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--prime-bound", "500"], ["--mode", "heuristic"]], ids=["prime-bound", "mode"]
+)
+@pytest.mark.parametrize("value", [[1, 2], "x", None, 3], ids=["list", "str", "null", "int"])
+def test_a_case_file_that_is_no_object_is_an_input_error(tmp_path, capsys, value, flag):
+    # the overrides are applied to the case before parse_case sees it
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(value))
+    code, data = run_cli(["--input", str(case), *flag], tmp_path)
+    assert code == 1 and data is None
+    assert capsys.readouterr().err == "input error: case file must contain a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "args", [["--input", str(CASES / "example1.json")], ["--audit", "example1"]], ids=["input", "audit"]
+)
+def test_an_unwritable_report_path_is_an_input_error(tmp_path, capsys, args):
+    report = tmp_path / "no" / "such" / "dir" / "report.json"
+    assert main([*args, "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(report) in err
+    assert not report.parent.exists()
+
+
 def test_force_fail_exit_two(tmp_path):
     code, data = run_cli(
         ["--input", str(CASES / "example1.json"), "--force-fail", "pi1_cohomology"],

@@ -156,7 +156,7 @@ def test_equivariant_stage_matches_the_full_product_oracle(degrees, kinds, flags
     assert fast == slow
 
 
-def test_two_jacobians_never_enumerates_the_product(monkeypatch):
+def record_enumerations(monkeypatch):
     enumerated = []
     real = FiniteGroup.enumerate
 
@@ -165,9 +165,27 @@ def test_two_jacobians_never_enumerates_the_product(monkeypatch):
         return real(group)
 
     monkeypatch.setattr(FiniteGroup, "enumerate", recording)
+    return enumerated
+
+
+def test_two_jacobians_never_enumerates_the_product(monkeypatch):
+    enumerated = record_enumerations(monkeypatch)
     rep = run_case(parse_case(json.loads((CASES / "two_jacobians.json").read_text())))
     assert rep.asserted
     assert "S5" in enumerated and not any(" x " in name for name in enumerated)
+
+
+def test_a_septic_torsor_never_enumerates_its_torsor_group(monkeypatch):
+    # the values the example3 audit finds by enumerating 2^6 x| S_7:
+    # H^1(P, V) = H^1(S_7, V) + End(V) = 0 + 1, and the torsor class is nonzero
+    enumerated = record_enumerations(monkeypatch)
+    x7 = IntPolynomial((-1, -1, 0, 0, 0, 0, 0, 1))
+    rep = run_case(CaseInput((FactorInput(x7, True),)))
+    assert rep.asserted
+    assert rep.equivariant_audit["group_order"] == 322_560
+    [line] = rep.equivariant_audit["factors"]
+    assert line["h1_torsor_group_module"] == 1 and line["torsor_class_nonzero"] is True
+    assert "S7" in enumerated and not any(" x| " in name for name in enumerated)
 
 
 def test_invariants_in_a_factor_module_fail_closed(monkeypatch):

@@ -5,9 +5,10 @@ The engine imports only the standard-library modules it uses: no
 ``dataclasses``, which brings ``inspect``, ``ast``, ``dis`` and ``tokenize``
 with it and compiles generated code for each decorated class.  Every engine
 module on the verdict path is imported up front, so none of that cost moves
-into the first call.
+into the first call, and no function body holds an import.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,18 @@ def test_cli_import_loads_no_dataclasses_and_defers_no_engine_module():
     assert "kummer.cli" in loaded
     assert [name for name in NOT_LOADED if name in loaded] == []
     assert [name for name in ENGINE if f"kummer.{name}" not in loaded] == []
+
+
+def test_no_engine_function_imports_in_its_body():
+    # an import inside a function defers its cost into the first call
+    found = []
+    for path in sorted((ROOT / "src" / "kummer").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from kummer import pipeline
 from kummer.cohomology import CocycleSpace
 from kummer.disjoint import DiscClass, DisjointnessCertificate
 from kummer.errors import (
+    ActionMismatch,
     DimensionMismatch,
     EngineError,
     GaloisCheckFailed,
@@ -30,9 +32,9 @@ from kummer.galois import (
     certify_galois,
 )
 from kummer.gf2 import F2Matrix
-from kummer.groups import symmetric_group
+from kummer.groups import FiniteGroup, symmetric_group
 from kummer.lattice import Lattice
-from kummer.picard import KummerLatticeModel, numerology
+from kummer.picard import KummerLatticeModel, numerology, torsor_factor_group
 from kummer.pipeline import CaseInput, FactorInput
 from kummer.reps import GModule, standard_module
 from kummer.smith import RowSolver, ZMatrix, bareiss_det
@@ -56,6 +58,20 @@ def _corrupted_trace():
     # tr(Q^2) - tr(Q) is then odd, not twice a number of quadratic factors
     t1, t2 = _frobenius_traces((1, 2, 0, 0, 0, 1), [11])
     _cycle_type_from_traces([t1, t2 + 1], 11, 5)
+
+
+def _torsor_factor_of(build):
+    # stage 6 reads H^1(P_i, V_i) off stages 3 and 4 only for a P_i that is
+    # V x| G as declared; build stands in for torsor_factor_group
+    def run():
+        real = pipeline.torsor_factor_group
+        pipeline.torsor_factor_group = build
+        try:
+            pipeline._torsor_factor(standard_module(3, "S"), True)
+        finally:
+            pipeline.torsor_factor_group = real
+
+    return run
 
 
 X3 = IntPolynomial((-1, -1, 0, 1))  # x^3 - x - 1
@@ -91,6 +107,25 @@ SITES = {
     "module-matrix-count": (lambda: GModule(S3, 2, 2, (EYE2,)), DimensionMismatch),
     "module-matrix-shape": (lambda: GModule(S3, 2, 2, (EYE2, ((1, 0),))), DimensionMismatch),
     "module-zero-character": (lambda: GModule(S3, 2, 3, (EYE2, EYE2), (1, 3)), GroupMismatch),
+    # G's generators carry a translation
+    "torsor-group-translated-g-part": (
+        _torsor_factor_of(lambda m, flag: torsor_factor_group(m, flag, cocycle=[(1, 0), (0, 0)])),
+        ActionMismatch,
+    ),
+    # G's matrices paired with the other generator's action on G's points
+    "torsor-group-mismatched-g-part": (
+        _torsor_factor_of(
+            lambda m, flag: torsor_factor_group(
+                GModule(FiniteGroup(S3.generators[::-1]), 2, 2, m.generator_matrices), flag
+            )
+        ),
+        ActionMismatch,
+    ),
+    # the translation by e_0 spans a line, not V: P_i is Z/2 x S_3
+    "torsor-group-translations-short": (
+        lambda: pipeline._torsor_factor(GModule(S3, 2, 2, (EYE2, EYE2)), True),
+        ActionMismatch,
+    ),
     "cocycle-space-h1": (
         lambda: CocycleSpace(standard_module(5, "S"), 4, 4, 1, ()),
         GroupCheckFailed,
