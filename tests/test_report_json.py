@@ -76,7 +76,8 @@ def test_audit_records_match_json_dumps(name, audit):
         ({"a": {2.5: 0}}, TypeError),
         ([{1, 2}], TypeError),
         ({"a": b"bytes"}, TypeError),
-        ([object()], TypeError),
+        # repr(object()) holds a memory address; a fixed id keeps the name stable
+        pytest.param([object()], TypeError, id="[object()]-<class 'TypeError'>"),
         ({"a": [math.nan]}, ValueError),
         (math.inf, ValueError),
         (-math.inf, ValueError),
