@@ -616,7 +616,8 @@ def is_probable_prime(n: int) -> bool:
 
 
 def pollard_rho(n: int, max_steps: int = 200_000):
-    """One Brent-cycle pass with deterministic seeds; None when unlucky."""
+    """Floyd cycle-finding on x -> x^2 + c mod n (x one step, y two steps a
+    round, from x = y = 2) for c = 1, 3, 5, 7, 11 in turn; None when unlucky."""
     if n % 2 == 0:
         return 2
     for c in (1, 3, 5, 7, 11):

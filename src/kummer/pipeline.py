@@ -37,21 +37,22 @@ import re
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import fp
 from .cohomology import cocycle_class_is_nonzero, h1_dim, validate_module
 from .disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
-from .errors import ActionMismatch, EngineError, FactorBudgetExceeded, GroupCheckFailed, InputError
+from .errors import ActionMismatch, EngineError, FactorBudgetExceeded, InputError
 from .frozen import Frozen
 from .galois import IntPolynomial, certify_galois, discriminant
 from .groups import (
     affine,
     alternating_group,
     direct_product,
-    elementary_l_quotient_kernel,
     general_symplectic_group,
     group_order_formula,
     has_index_l_normal_subgroup,
     images,
     is_even,
+    stabiliser_chain,
     symmetric_group,
     symplectic_group,
 )
@@ -430,13 +431,17 @@ def _module_stage(sigs):
 
 
 def _factor_structure(mod, d, kind):
-    """Stage 3's checks of S_d or A_d on its validated standard module."""
-    alt = standard_module(d, "A")
-    end_dim = endomorphism_algebra_dim(mod)
-    abs_simple = is_simple(mod) and end_dim == 1
+    """Stage 3's checks of S_d or A_d on its validated standard module; the
+    spin-up of is_simple runs once per distinct module."""
+    end_dim, simple = endomorphism_algebra_dim(mod), is_simple(mod)
+    if kind == "A":
+        alt_end, alt_simple = end_dim, simple
+    else:
+        alt = standard_module(d, "A")
+        alt_end, alt_simple = endomorphism_algebra_dim(alt), is_simple(alt)
+    abs_simple = simple and end_dim == 1
     fixed_dim = h0(mod)
-    alt_simple = is_simple(alt)
-    alt_abs = is_absolutely_simple(alt) if d >= 5 else None
+    alt_abs = alt_simple and alt_end == 1 if d >= 5 else None
     alt_no_index2 = not has_index_l_normal_subgroup(alternating_group(d), 2)
     ok = abs_simple and fixed_dim == 0 and alt_simple and alt_no_index2
     return {
@@ -600,19 +605,19 @@ def _cross_hom_dims(modules, prod_group):
 
 
 def audit_example_1_odd(l: int) -> dict:
-    """Odd-prime slice of the first bundled case: Sp(4, F_l) hypotheses at l = 3."""
+    """Odd-prime slice of the first bundled case: Sp(4, F_l) hypotheses at l = 3.
+    The order and Hom(Sp, F_l) come from one stabiliser chain."""
     if l != 3:
         raise InputError("the odd audit is desk-bounded to l = 3")
     sp = symplectic_group(4, l)
-    sp.enumerate()
-    order = sp.order()
+    chain = stabiliser_chain(sp)
     taut = GModule(sp, 4, l, tuple(affine(s, sp.blocks[0])[0] for s in sp.generators))
     record = {
         "l": l,
-        "sp4_order_enumerated": order,
+        "sp4_order_enumerated": chain.order,
         "sp4_order_formula": group_order_formula("Sp", 4, l),
         "psp4_order_formula": group_order_formula("PSp", 4, l),
-        "has_index_l_normal_subgroup": has_index_l_normal_subgroup(sp, l),
+        "has_index_l_normal_subgroup": bool(chain.hom_basis(l)),
         "tautological_module_absolutely_simple": is_absolutely_simple(taut),
         "higher_power_note": "l^m layers for m > 1 follow from the m = 1 "
         "computation by the inductive lifting argument (CITED)",
@@ -629,34 +634,37 @@ def audit_example_1_odd(l: int) -> dict:
 
 
 def audit_example_2_goursat() -> dict:
-    """Common-quotient analysis for S_6 x GSp(4, F_3) plus the sextic disc class."""
-    s6 = symmetric_group(6)
-    s6.enumerate()
-    k6 = elementary_l_quotient_kernel(s6, 2)
-    count_s6 = 2 ** _two_rank(s6.order(), len(k6)) - 1
-    kernel_even = all(is_even(e) for e in k6)
+    """Common-quotient analysis for S_6 x GSp(4, F_3) plus the sextic disc class.
 
-    gsp = general_symplectic_group(4, 3)
-    gsp.enumerate()
-    kg = elementary_l_quotient_kernel(gsp, 2)
-    count_gsp = 2 ** _two_rank(gsp.order(), len(kg)) - 1
-    sp = symplectic_group(4, 3)
-    sp_inside = all(t in kg for t in sp.generators)
+    With r = dim Hom(G, F_2) off G's stabiliser chain, G has 2^r - 1 index-2
+    subgroups and the kernel K of all of them has order |G| / 2^r.  K lies in
+    A_6 iff the sign character is in the span of Hom(S_6, F_2), and Sp(4, F_3)
+    lies in K iff every homomorphism vanishes on Sp's generators."""
+    s6 = stabiliser_chain(symmetric_group(6))
+    h6 = s6.hom_basis(2)
+    sign = [int(not is_even(s)) for s in symmetric_group(6).generators]
+    kernel_even = fp.rank(h6 + [sign], 2) == len(h6)
+    k6 = s6.order >> len(h6)
+
+    gsp = stabiliser_chain(general_symplectic_group(4, 3))
+    hg = gsp.hom_basis(2)
+    words = [gsp.word(t) for t in symplectic_group(4, 3).generators]
+    sp_inside = all(sum(a * b for a, b in zip(phi, w)) % 2 == 0 for phi in hg for w in words)
 
     sextic = IntPolynomial((5, -8, 4, 0, 4, -8, 4))
     cls = disc_class(discriminant(sextic))
 
     return {
         "s6": {
-            "order": s6.order(),
-            "index2_normal_subgroup_count": count_s6,
-            "kernel_order": len(k6),
-            "kernel_is_alternating": kernel_even and len(k6) == 360,
+            "order": s6.order,
+            "index2_normal_subgroup_count": 2 ** len(h6) - 1,
+            "kernel_order": k6,
+            "kernel_is_alternating": kernel_even and k6 == 360,
         },
         "gsp4_f3": {
-            "order": gsp.order(),
-            "index2_normal_subgroup_count": count_gsp,
-            "kernel_order": len(kg),
+            "order": gsp.order,
+            "index2_normal_subgroup_count": 2 ** len(hg) - 1,
+            "kernel_order": gsp.order >> len(hg),
             "kernel_contains_sp_and_square_scalars": sp_inside,
         },
         "sextic_disc_class": {
@@ -667,14 +675,6 @@ def audit_example_2_goursat() -> dict:
         "is the whole product or the graph of the unique common Z/2 quotient; "
         "either way it contains A_6 x Sp(4, F_3)",
     }
-
-
-def _two_rank(order, kernel_order):
-    """r with order / kernel_order = 2^r; any other index fails closed."""
-    idx, rem = divmod(order, kernel_order)
-    if rem or idx < 1 or idx & (idx - 1):
-        raise GroupCheckFailed(f"index {order}/{kernel_order} is not a power of 2")
-    return idx.bit_length() - 1
 
 
 def audit_example_3_desk() -> dict:

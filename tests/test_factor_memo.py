@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from conftest import clear_pipeline_memo
-from kummer import cohomology, disjoint, galois, pipeline
+from kummer import cohomology, disjoint, galois, pipeline, reps
 from kummer.galois import IntPolynomial
 from kummer.groups import FiniteGroup
 from kummer.pipeline import CaseInput, FactorInput, run_case
@@ -187,3 +187,22 @@ def test_one_fill_harvests_each_distinct_module_once(monkeypatch):
     case = signature_case((3, 3, 3), ("S", "S", "S"), (False, False, False))
     assert run_case(case).asserted
     assert len(harvests) == 1
+
+
+@pytest.mark.parametrize("kind,expected", [("A", 1), ("S", 2)])
+def test_one_fill_spins_up_each_distinct_module_once(kind, expected, monkeypatch):
+    # an A_7 factor's module is its own alternating restriction; an S_7
+    # factor's restriction is a second module.  is_absolutely_simple reaches
+    # is_simple through reps, so both names are counted
+    calls = []
+    real = reps.is_simple
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (pipeline, reps):
+        monkeypatch.setattr(module, "is_simple", counting)
+    pipeline._signature_outcomes(((7, kind, False),))
+    assert len(calls) == expected
+    assert all(a != b for i, a in enumerate(calls) for b in calls[i + 1 :])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer.errors import CapExceeded, DimensionMismatch, EvenDegree, GroupCheckFailed, InputError
 from kummer.groups import (
@@ -7,12 +9,15 @@ from kummer.groups import (
     affine,
     alternating_group,
     direct_product,
+    elementary_l_quotient_kernel,
     from_cycles,
     general_symplectic_group,
     group_order_formula,
     has_index_l_normal_subgroup,
     images,
+    permutation,
     semidirect,
+    stabiliser_chain,
     symmetric_group,
     symplectic_group,
     transvection,
@@ -285,3 +290,67 @@ def test_bad_group_parameters_raise_typed_errors(build, args, error):
     # raised, not asserted, so python -O cannot build S_4 under the name A4
     with pytest.raises(error):
         build(*args)
+
+
+# the stabiliser chain against enumeration and the normal-closure oracle
+
+
+def _chain_oracle_groups():
+    yield from (symmetric_group(d) for d in range(3, 8))
+    yield from (alternating_group(d) for d in (3, 5, 7))
+    yield symplectic_group(4, 3)
+    yield general_symplectic_group(4, 3)
+    yield FiniteGroup([from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)])], name="A4")
+    yield FiniteGroup([from_cycles(9, [tuple(range(9))])], name="C9")
+    yield direct_product(symmetric_group(5), symmetric_group(3))
+    c3 = FiniteGroup([from_cycles(3, [(0, 1, 2)])], name="C3")
+    yield direct_product(c3, c3)
+
+
+def _assert_chain_matches_oracles(g, primes):
+    chain = stabiliser_chain(g)
+    g.enumerate()
+    assert chain.order == len(g.elements)
+    k = len(g.generators)
+    for l in primes:
+        basis = chain.hom_basis(l)
+        assert l ** len(basis) == len(g.elements) // len(elementary_l_quotient_kernel(g, l))
+        for phi in basis:
+            # phi on every element through the BFS tree, then every Cayley
+            # edge x -> x s_j must add phi(s_j): phi is a homomorphism
+            value = [0] * len(g.elements)
+            for y in range(1, len(g.elements)):
+                x, j = divmod(g.parents[y], k)
+                value[y] = (value[x] + phi[j]) % l
+            for e, y in enumerate(g.edges):
+                x, j = divmod(e, k)
+                assert value[y] == (value[x] + phi[j]) % l
+            # and phi read off the chain's word of an element agrees with it
+            for y in range(0, len(g.elements), max(1, len(g.elements) // 50)):
+                word = chain.word(g.elements[y])
+                assert sum(a * b for a, b in zip(phi, word)) % l == value[y]
+
+
+@pytest.mark.parametrize("g", list(_chain_oracle_groups()), ids=lambda g: g.name)
+def test_stabiliser_chain_matches_enumeration_and_closures(g):
+    _assert_chain_matches_oracles(g, (2, 3, 5))
+
+
+@pytest.mark.parametrize(
+    "build,order,hom2", [(symmetric_group, 362880, 1), (alternating_group, 181440, 0)]
+)
+def test_stabiliser_chain_of_degree_9_without_enumeration(build, order, hom2):
+    g = build(9)
+    chain = stabiliser_chain(g)
+    assert chain.order == order and len(chain.hom_basis(2)) == hom2
+    assert g.elements is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+    )
+)
+def test_stabiliser_chain_of_random_generators(imgs):
+    _assert_chain_matches_oracles(FiniteGroup([permutation(p) for p in imgs]), (2, 3))

@@ -1,7 +1,7 @@
 import pytest
 
 from kummer import pipeline
-from kummer.errors import EngineError, GroupCheckFailed, InputError
+from kummer.errors import EngineError, InputError
 from kummer.galois import IntPolynomial
 from kummer.groups import FiniteGroup
 from kummer.picard import EQUIVARIANT_G_CAP
@@ -10,7 +10,6 @@ from kummer.pipeline import (
     PRIME_BOUND_MAX,
     CaseInput,
     FactorInput,
-    _two_rank,
     parse_case,
     run_case,
 )
@@ -287,11 +286,3 @@ def test_degree3_alternating_rejected():
     assert not rep.asserted
     assert "galois_certification" in rep.conclusions["withheld_because"]
 
-
-def test_two_rank_fails_closed_on_a_non_two_power_index():
-    assert _two_rank(8, 2) == 2
-    assert _two_rank(5, 5) == 0
-    with pytest.raises(GroupCheckFailed):
-        _two_rank(12, 2)
-    with pytest.raises(GroupCheckFailed):
-        _two_rank(12, 5)

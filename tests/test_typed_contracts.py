@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kummer import pipeline
+from kummer import groups, pipeline
 from kummer.cohomology import CocycleSpace
 from kummer.disjoint import DiscClass, DisjointnessCertificate
 from kummer.errors import (
@@ -32,7 +32,7 @@ from kummer.galois import (
     certify_galois,
 )
 from kummer.gf2 import F2Matrix
-from kummer.groups import FiniteGroup, symmetric_group
+from kummer.groups import FiniteGroup, StabiliserChain, stabiliser_chain, symmetric_group
 from kummer.lattice import Lattice
 from kummer.picard import KummerLatticeModel, numerology, torsor_factor_group
 from kummer.pipeline import CaseInput, FactorInput
@@ -72,6 +72,15 @@ def _torsor_factor_of(build):
             pipeline.torsor_factor_group = real
 
     return run
+
+
+def _chain_without_last_strong_generator():
+    # S_5's last base point loses its only strong generator, so a Schreier
+    # generator of the level above it leaves a residue; no order is declared,
+    # so the sift check, not the order check, has to catch it
+    g = FiniteGroup(symmetric_group(5).generators)
+    base, strong = groups._schreier_sims(g)
+    StabiliserChain(g, base, strong[:-1])
 
 
 X3 = IntPolynomial((-1, -1, 0, 1))  # x^3 - x - 1
@@ -126,6 +135,11 @@ SITES = {
         lambda: pipeline._torsor_factor(GModule(S3, 2, 2, (EYE2, EYE2)), True),
         ActionMismatch,
     ),
+    "chain-order-not-known-order": (
+        lambda: stabiliser_chain(FiniteGroup(symmetric_group(4).generators, known_order=12)),
+        GroupCheckFailed,
+    ),
+    "chain-strong-generator-dropped": (_chain_without_last_strong_generator, GroupCheckFailed),
     "cocycle-space-h1": (
         lambda: CocycleSpace(standard_module(5, "S"), 4, 4, 1, ()),
         GroupCheckFailed,
