@@ -96,12 +96,16 @@ def main(argv=None) -> int:
         if not args.input:
             raise InputError("--input is required unless --audit is given")
         try:
-            with open(args.input) as fh:
+            with open(args.input, encoding="utf-8") as fh:
                 obj = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read case file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"case file is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # bytes that are not UTF-8, an integer past Python's digit limit,
+            # or nesting deeper than the decoder's recursion
+            raise InputError(f"case file cannot be decoded: {exc}") from exc
         overrides = {"prime_bound": args.prime_bound, "mode": args.mode}
         if isinstance(obj, dict):  # parse_case refuses any other JSON value
             obj.update((key, value) for key, value in overrides.items() if value is not None)

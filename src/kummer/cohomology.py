@@ -1,26 +1,30 @@
-"""Group cohomology H^0 / H^1 via Cayley-graph cocycle propagation.
+"""Group cohomology H^1 of F_2-modules via Cayley-graph cocycle propagation.
+
+Every module the engine takes H^1 of is over F_2 (A[2] as a G_i-module, and
+the torsor modules V x| G), so this module is F_2 only: a module over any
+other field is refused by ``GModule.bit_rows`` before anything is cached.
+Over F_2 the only unit is 1, so a module's character is trivial and plays
+no part here.
 
 A 1-cocycle is determined by its values on the generators; propagating those
 unknowns along the BFS tree of the Cayley graph and harvesting one linear
-constraint per non-tree edge turns H^1 into a small F_l system (dim * #gens
+constraint per non-tree edge turns H^1 into a small F_2 system (dim * #gens
 unknowns) instead of one with an unknown vector per group element.  The
 per-element brute-force solver survives only as a test oracle.
 
-The harvest first walks the image of g -> (rho(g), chi(g)), interning each
-matrix (and character value) to an index and tabulating its product with
-every generator, so rho is multiplied once per image element and generator
-rather than once per Cayley edge.  The edge walk then carries one index per
-element: a non-tree edge must close on the tabulated index, which checks on
-every relation that rho and chi are homomorphisms, on every harvest.
-Repeated constraints are dropped before the echelon, and the rows are cached
-on the module, so each module is harvested and validated once.
+The harvest is one walk.  It first interns the image of rho, each packed
+matrix to an index, tabulating its product with every generator, so rho is
+multiplied once per image element and generator rather than once per Cayley
+edge.  The edge walk then carries one index per element: a non-tree edge
+must close on the tabulated index, which checks on every relation that rho
+is a homomorphism, on every harvest.  Repeated constraints and rows are
+dropped before the echelon, and the rows are cached on the module, so each
+module is harvested and validated once.
 """
 
 from __future__ import annotations
 
-from operator import xor
-
-from . import fp, gf2
+from . import gf2
 from .errors import EngineError, GroupCheckFailed
 from .gf2 import F2Echelon
 from .reps import GModule
@@ -47,19 +51,11 @@ def h1(m: GModule) -> CocycleSpace:
     """Cocycle space of the module; enumerates the group (CapExceeded bubbles up)
     and checks that the generator matrices define a homomorphism."""
     z_rows, ncols = _z1_constraints(m)
-    if m.l == 2:
-        _, ker = gf2.f2_rank_kernel(gf2.F2Matrix(len(z_rows), ncols, z_rows))
-        kernel_vecs = ker.rows
-        z1 = len(kernel_vecs)
-        b_rows = _coboundary_rows_f2(m)
-        b1 = gf2.F2Matrix(len(b_rows), ncols, b_rows).rank()
-        basis = tuple(_unpack_cocycle_f2(v, m) for v in kernel_vecs)
-    else:
-        kernel_vecs = fp.kernel_basis(z_rows, ncols, m.l)
-        z1 = len(kernel_vecs)
-        b_rows = _coboundary_rows_fp(m)
-        b1 = fp.rank(b_rows, m.l)
-        basis = tuple(_unpack_cocycle_fp(v, m) for v in kernel_vecs)
+    _, ker = gf2.f2_rank_kernel(gf2.F2Matrix(len(z_rows), ncols, z_rows))
+    z1 = len(ker.rows)
+    b_rows = _coboundary_rows_f2(m)
+    b1 = gf2.F2Matrix(len(b_rows), ncols, b_rows).rank()
+    basis = tuple(_unpack_cocycle_f2(v, m) for v in ker.rows)
     return CocycleSpace(m, z1, b1, z1 - b1, basis)
 
 
@@ -76,31 +72,24 @@ def _z1_constraints(m: GModule):
     """(rows, ncols) of the Z^1 constraints, harvested (and validated) from
     the Cayley graph once per module and cached on it."""
     if m._z1_rows is None:
-        harvest = _harvest_constraints_f2 if m.l == 2 else _harvest_constraints_fp
-        m._z1_rows = harvest(m)
+        m._z1_rows = _harvest_constraints_f2(m)
     return m._z1_rows
 
 
-def _image_walk(m: GModule, one, times):
-    """Intern the image of g -> (rho(g), chi(g)) by BFS from (one, 1) under
-    right multiplication by the generators; times(mat, j) = mat M_j.
+def _image_walk(gens_rows, dim: int, order: int):
+    """Intern the image of rho by BFS from the identity under right
+    multiplication by the generators, as tuples of packed rows.
 
     Returns (keys, step) with step[r*k + j] the index of keys[r] times
     generator j.  The image of a homomorphism has at most |G| elements, so a
     larger one fails closed before the edge walk.
     """
-    g = m.group.enumerate()
-    k = len(g.generators)
-    order = len(g.elements)
-    chi = m.character or (1,) * k
-    keys = [(one, 1)]
+    keys = [tuple(1 << i for i in range(dim))]
     index = {keys[0]: 0}
     step = []
-    r = 0
-    while r < len(keys):
-        mat, c = keys[r]
-        for j in range(k):
-            y = (times(mat, j), c * chi[j] % m.l)
+    for rows in keys:  # keys grows while it is walked: a BFS queue
+        for gen in gens_rows:
+            y = tuple(gf2.matmul_rows(rows, gen))
             yi = index.get(y)
             if yi is None:
                 yi = len(keys)
@@ -109,31 +98,37 @@ def _image_walk(m: GModule, one, times):
                 index[y] = yi
                 keys.append(y)
             step.append(yi)
-        r += 1
     return keys, step
 
 
-def _distinct_rows(m: GModule, step, emb, add, sub, zero, split):
-    """Walk the Cayley graph carrying c(x) and the image index rid[x]; yield
-    each distinct nonzero row of the constraints c(x) + x.c(s_j) - c(x s_j).
+def _harvest_constraints_f2(m: GModule):
+    """Echelon basis of the Z^1 constraints over F_2, as (rows, ncols).
 
-    A tree edge defines c(y) and rid[y]; a non-tree edge must land on
-    rid[y] = step[rid[x]*k + j], which checks rho and chi on that relation.
-    emb[r*k + j] is image element r placed in block j; split(c) gives the
-    dim rows of a packed c.  A repeated constraint or row is skipped: it
-    already lies in the span of the ones yielded.
+    Unknown layout: N = dim * k bits, block j = c(s_j).  The walk carries
+    per element x the propagated c(x), a dim x N matrix packed into one int
+    (row i occupying bits [i*N, i*N + N)), and the image index rid[x].  A
+    tree edge defines c(y) and rid[y]; a non-tree edge must land on
+    rid[y] = step[rid[x]*k + j], which checks rho on that relation, and
+    gives the constraint c(x) + x.c(s_j) - c(x s_j).  emb[r*k + j] is image
+    element r placed in block j.
     """
-    g = m.group
-    k = len(g.generators)
+    gens_rows = m.bit_rows()
+    g = m.group.enumerate()
+    dim = m.dim
+    k = len(gens_rows)
+    n = dim * k
     order = len(g.elements)
     edges = g.edges
     parents = g.parents
+    keys, step = _image_walk(gens_rows, dim, order)
+    emb = [sum(r << (i * n + j * dim) for i, r in enumerate(rows)) for rows in keys for j in range(k)]
+    mask = (1 << n) - 1
+    ech = F2Echelon(n)
     rid = [-1] * order
-    coef = [None] * order
+    coef = [0] * order
     rid[0] = 0
-    coef[0] = zero
-    seen = {zero}
-    seen_rows = set(split(zero))
+    seen = {0}
+    seen_rows = {0}
     for x in range(order):
         if rid[x] < 0:
             raise GroupCheckFailed("enumeration parent bookkeeping broken")
@@ -142,7 +137,7 @@ def _distinct_rows(m: GModule, step, emb, add, sub, zero, split):
         base = x * k
         for j in range(k):
             y = edges[base + j]
-            t = add(cx, emb[r + j])
+            t = cx ^ emb[r + j]
             s = step[r + j]
             if rid[y] < 0:
                 if parents[y] != base + j:
@@ -152,54 +147,28 @@ def _distinct_rows(m: GModule, step, emb, add, sub, zero, split):
             elif rid[y] != s:
                 raise EngineError("generator matrices do not extend to the group")
             else:
-                diff = sub(t, coef[y])
+                # a repeated constraint or row already lies in the echelon's span
+                diff = t ^ coef[y]
                 if diff not in seen:
                     seen.add(diff)
-                    for row in split(diff):
+                    for i in range(dim):
+                        row = (diff >> (i * n)) & mask
                         if row not in seen_rows:
                             seen_rows.add(row)
-                            yield row
-
-
-def _harvest_constraints_f2(m: GModule):
-    """Echelon basis of the Z^1 constraints over F_2.
-
-    Unknown layout: N = dim * k bits, block j = c(s_j).  Per element x the
-    propagated c(x) is a dim x N matrix packed into one int, row i occupying
-    bits [i*N, i*N + N).
-    """
-    gens_rows = m.bit_rows()
-    dim = m.dim
-    k = len(gens_rows)
-    n = dim * k
-    keys, step = _image_walk(
-        m,
-        tuple(1 << i for i in range(dim)),
-        lambda rows, j: tuple(gf2.matmul_rows(rows, gens_rows[j])),
-    )
-    emb = [sum(r << (i * n + j * dim) for i, r in enumerate(rows)) for rows, _ in keys for j in range(k)]
-    mask = (1 << n) - 1
-    ech = F2Echelon(n)
-    for row in _distinct_rows(
-        m, step, emb, xor, xor, 0, lambda c: ((c >> (i * n)) & mask for i in range(dim))
-    ):
-        ech.add(row)
+                            ech.add(row)
     return ech.basis_rows(), n
 
 
 def _coboundary_rows_f2(m: GModule):
     """B^1 spanning rows: for basis vector e_t the map s_j -> rho(s_j) e_t - e_t."""
     dim = m.dim
-    k = len(m.group.generators)
-    n_unknowns = dim * k
     gens_rows = m.bit_rows()
     rows = []
     for t in range(dim):
         v = 1 << t
         acc = 0
-        for j in range(k):
-            w = gf2.matvec(gens_rows[j], v) ^ v
-            acc |= w << (j * dim)
+        for j, gen in enumerate(gens_rows):
+            acc |= (gf2.matvec(gen, v) ^ v) << (j * dim)
         rows.append(acc)
     return rows
 
@@ -222,56 +191,6 @@ def _pack_cocycle_f2(values, m: GModule):
     return acc
 
 
-def _harvest_constraints_fp(m: GModule):
-    """Distinct nonzero Z^1 constraint rows over F_p in first-seen order, by
-    the same walks; c(x) is one flat tuple of its dim rows."""
-    l, dim = m.l, m.dim
-    mats = m.generator_matrices
-    k = len(mats)
-    n = dim * k
-    keys, step = _image_walk(
-        m,
-        tuple(map(tuple, fp.identity(dim))),
-        lambda mat, j: tuple(map(tuple, fp.mat_mul(mat, mats[j], l))),
-    )
-    emb = [
-        tuple(mat[i][c - j * dim] if 0 <= c - j * dim < dim else 0 for i in range(dim) for c in range(n))
-        for mat, _ in keys
-        for j in range(k)
-    ]
-    rows = _distinct_rows(
-        m,
-        step,
-        emb,
-        lambda a, b: tuple((x + y) % l for x, y in zip(a, b)),
-        lambda a, b: tuple((x - y) % l for x, y in zip(a, b)),
-        (0,) * (dim * n),
-        lambda c: (c[i * n : i * n + n] for i in range(dim)),
-    )
-    return list(rows), n
-
-
-def _coboundary_rows_fp(m: GModule):
-    dim, l = m.dim, m.l
-    k = len(m.group.generators)
-    rows = []
-    for t in range(dim):
-        row = [0] * (dim * k)
-        for j, mat in enumerate(m.generator_matrices):
-            for i in range(dim):
-                row[j * dim + i] = (mat[i][t] - (1 if i == t else 0)) % l
-        rows.append(row)
-    return rows
-
-
-def _unpack_cocycle_fp(vec, m: GModule):
-    dim = m.dim
-    return tuple(
-        tuple(vec[j * dim + i] for i in range(dim))
-        for j in range(len(m.group.generators))
-    )
-
-
 def is_cocycle(m: GModule, values) -> bool:
     """Do the per-generator values satisfy every Cayley relation."""
     return _satisfies_constraints(m, values)
@@ -279,25 +198,15 @@ def is_cocycle(m: GModule, values) -> bool:
 
 def _satisfies_constraints(m: GModule, values) -> bool:
     rows, _ = _z1_constraints(m)
-    if m.l == 2:
-        packed = _pack_cocycle_f2(values, m)
-        return all((row & packed).bit_count() % 2 == 0 for row in rows)
-    flat = [x for v in values for x in v]
-    return all(sum(a * b for a, b in zip(row, flat)) % m.l == 0 for row in rows)
+    packed = _pack_cocycle_f2(values, m)
+    return all((row & packed).bit_count() % 2 == 0 for row in rows)
 
 
 def cocycle_class_is_nonzero(m: GModule, values) -> bool:
     """Is the class of the given cocycle nonzero in H^1 (i.e. not a coboundary)."""
     if not _satisfies_constraints(m, values):
         raise EngineError("the given values do not satisfy the cocycle condition")
-    if m.l == 2:
-        packed = _pack_cocycle_f2(values, m)
-        b_rows = _coboundary_rows_f2(m)
-        ech = F2Echelon(m.dim * len(m.group.generators))
-        for r in b_rows:
-            ech.add(r)
-        return not ech.contains(packed)
-    flat = [x for v in values for x in v]
-    b_rows = _coboundary_rows_fp(m)
-    base = fp.rank(b_rows, m.l)
-    return fp.rank(b_rows + [flat], m.l) > base
+    ech = F2Echelon(m.dim * len(m.group.generators))
+    for r in _coboundary_rows_f2(m):
+        ech.add(r)
+    return not ech.contains(_pack_cocycle_f2(values, m))

@@ -1,23 +1,17 @@
 """Dense linear algebra over F_p for small primes p (lists of ints mod p).
 
-The F_2 work goes through the packed-int kernel in gf2; this module covers
-the odd primes (module theory over F_3 and friends) where widths stay tiny.
+Any prime, 2 included: the module checks of reps (spin-up, End, Hom,
+wedge^2 invariants, H^0) run here at l = 2 on every standard module, and
+the stabiliser chain's Hom(G, F_l) runs here at l = 2 and 3.  Widths stay
+tiny.  The wide F_2 work (the H^1 harvest, the lattice layer) goes through
+the packed-int kernel in gf2.
 """
 
 from __future__ import annotations
 
 
-def mat_mul(a, b, p):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
-
-
 def mat_vec(a, v, p):
     return [sum(x * y for x, y in zip(row, v)) % p for row in a]
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def rref(rows, p):

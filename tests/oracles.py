@@ -340,14 +340,14 @@ def oracle_bfs(generators, identity):
 
 
 # ---------------------------------------------------------------------------
-# per-edge Z^1 harvests: the engine's former constraint harvests, which
-# recompute rho on every Cayley edge, kept as the oracle for its image walk
+# per-edge Z^1 harvest: the engine's former constraint harvest, which
+# recomputes rho on every Cayley edge, kept as the oracle for its image walk
 
 
 def per_edge_harvest_f2(m):
     """(rows, ncols): one F_2 block-row per non-tree Cayley edge, pushed
     through an F2Echelon; rho(x) is recomputed on every edge and checked on
-    the non-tree ones, characters on a second walk."""
+    the non-tree ones."""
     from kummer import gf2
     from kummer.errors import EngineError
 
@@ -387,66 +387,7 @@ def per_edge_harvest_f2(m):
                         ech.add(row)
                 if ry != rho[y]:
                     raise EngineError("generator matrices do not extend to the group")
-    _per_edge_character_check(m)
     return ech.basis_rows(), n_unknowns
-
-
-def per_edge_harvest_fp(m):
-    """(rows, ncols): every nonzero F_p constraint row of every non-tree
-    Cayley edge, repeats included, in edge order."""
-    from kummer import fp
-    from kummer.errors import EngineError
-
-    g = m.group.enumerate()
-    l, dim = m.l, m.dim
-    k = len(g.generators)
-    n_unknowns = dim * k
-    order = len(g.elements)
-    mats = [[list(r) for r in mat] for mat in m.generator_matrices]
-    rho = [None] * order
-    coef = [None] * order
-    rho[0] = fp.identity(dim)
-    coef[0] = [[0] * n_unknowns for _ in range(dim)]
-    rows = []
-    for x in range(order):
-        for j in range(k):
-            y = g.edges[x * k + j]
-            t = [list(r) for r in coef[x]]
-            for i in range(dim):
-                for c in range(dim):
-                    t[i][j * dim + c] = (t[i][j * dim + c] + rho[x][i][c]) % l
-            ry = fp.mat_mul(rho[x], mats[j], l)
-            if rho[y] is None:
-                rho[y] = ry
-                coef[y] = t
-            else:
-                for i in range(dim):
-                    row = [(a - b) % l for a, b in zip(t[i], coef[y][i])]
-                    if any(row):
-                        rows.append(row)
-                if ry != rho[y]:
-                    raise EngineError("generator matrices do not extend to the group")
-    _per_edge_character_check(m)
-    return rows, n_unknowns
-
-
-def _per_edge_character_check(m):
-    from kummer.errors import EngineError
-
-    if m.character is None:
-        return
-    g = m.group
-    k = len(g.generators)
-    vals = [None] * len(g.elements)
-    vals[0] = 1
-    for x in range(len(g.elements)):
-        for j in range(k):
-            y = g.edges[x * k + j]
-            w = (vals[x] * m.character[j]) % m.l
-            if vals[y] is None:
-                vals[y] = w
-            elif vals[y] != w:
-                raise EngineError("character is inconsistent on a Cayley relation")
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,25 @@ def test_a_case_file_that_is_no_object_is_an_input_error(tmp_path, capsys, value
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b'{"factors": [{"poly": [' + b"1" * 5000 + b", 1]}]}", b'{"factors": \xff\xfe}', b"[" * 100000],
+    ids=["integer-past-digit-limit", "not-utf8", "nested-100000-deep"],
+)
+def test_an_undecodable_case_file_is_an_input_error(tmp_path, capsys, content):
+    case = tmp_path / "case.json"
+    case.write_bytes(content)
+    code, data = run_cli(["--input", str(case)], tmp_path)
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("input error:")
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    out = subprocess.run(
+        [sys.executable, "-m", "kummer.cli", "--input", str(case)], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("input error:") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
     "args", [["--input", str(CASES / "example1.json")], ["--audit", "example1"]], ids=["input", "audit"]
 )
 def test_an_unwritable_report_path_is_an_input_error(tmp_path, capsys, args):

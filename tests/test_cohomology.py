@@ -121,6 +121,10 @@ def test_cocycle_class_detection():
     assert cocycle_class_is_nonzero(pm, cob) is False
 
 
+def _cyclic_6():
+    return FiniteGroup([from_cycles(6, [(0, 1, 2, 3, 4, 5)])], name="C6")
+
+
 def _random_small_group_module(rng):
     """Pool of genuine (group, module) pairs with |G| <= 60, dim <= 6."""
     kind = rng.randrange(7)
@@ -144,11 +148,9 @@ def _random_small_group_module(rng):
         )
         return permutation_module(g, 2)
     if kind == 5:
-        # cyclic C6 over F_3
-        g = FiniteGroup([from_cycles(6, [(0, 1, 2, 3, 4, 5)])], name="C6")
-        return permutation_module(g, 3)
+        return permutation_module(_cyclic_6(), 2)
     g = symmetric_group(3)
-    return permutation_module(g, 3)
+    return permutation_module(g, 2)
 
 
 def test_h1_oracle_equivalence_randomized():
@@ -166,18 +168,6 @@ def test_cocycle_basis_members_are_cocycles():
     space = h1(m)
     for coc in space.cocycle_basis:
         assert is_cocycle(m, coc)
-
-
-def test_character_consistency_enforced():
-    from kummer.reps import with_character
-
-    # sign character of S5 over F3: -1 on the transposition, +1 on the 5-cycle
-    m = with_character(trivial_module(symmetric_group(5), 1, 3), [2, 1])
-    validate_module(m)
-    # swapped values cannot extend to the group
-    bad = with_character(trivial_module(symmetric_group(5), 1, 3), [1, 2])
-    with pytest.raises(EngineError):
-        validate_module(bad)
 
 
 def test_cocycle_class_reuses_the_h1_harvest(monkeypatch):
@@ -221,15 +211,15 @@ def _linear_part_module(p):
 
 def _oracle_case_modules():
     from kummer.picard import torsor_factor_group
-    from kummer.reps import product_factor_module, with_character
+    from kummer.reps import product_factor_module
 
     s5 = standard_module(5, "S")
     twisted = torsor_factor_group(s5, True, cocycle=[(1, 0, 1, 0), (0, 1, 1, 0)])
     return [
         s5,
         standard_module(5, "A"),
-        permutation_module(symmetric_group(4), 3),
-        with_character(trivial_module(symmetric_group(5), 1, 3), [2, 1]),
+        permutation_module(symmetric_group(4), 2),
+        permutation_module(_cyclic_6(), 2),
         _linear_part_module(twisted),
         product_factor_module([standard_module(5, "S"), standard_module(3, "S")]),
         product_factor_module([standard_module(3, "S")] * 3),
@@ -244,20 +234,13 @@ def _fresh(m):
 def test_harvest_matches_per_edge_oracle(monkeypatch):
     from kummer import cohomology
 
-    from oracles import per_edge_harvest_f2, per_edge_harvest_fp
+    from oracles import per_edge_harvest_f2
 
     for m in _oracle_case_modules():
         space = h1(m)
-        if m.l == 2:
-            expected = per_edge_harvest_f2(_fresh(m))
-        else:
-            rows, ncols = per_edge_harvest_fp(_fresh(m))
-            # the engine keeps each distinct row once, in first-seen order
-            expected = (list(dict.fromkeys(tuple(r) for r in rows)), ncols)
-        assert m._z1_rows == expected, m.group.name
+        assert m._z1_rows == per_edge_harvest_f2(_fresh(m)), m.group.name
         with monkeypatch.context() as mp:
             mp.setattr(cohomology, "_harvest_constraints_f2", per_edge_harvest_f2)
-            mp.setattr(cohomology, "_harvest_constraints_fp", per_edge_harvest_fp)
             oracle_space = h1(_fresh(m))
         assert (space.z1_dim, space.b1_dim, space.cocycle_basis) == (
             oracle_space.z1_dim,

@@ -12,7 +12,13 @@ from pathlib import Path
 import pytest
 
 from kummer import groups, pipeline
-from kummer.cohomology import CocycleSpace
+from kummer.cohomology import (
+    CocycleSpace,
+    cocycle_class_is_nonzero,
+    h1,
+    is_cocycle,
+    validate_module,
+)
 from kummer.disjoint import DiscClass, DisjointnessCertificate
 from kummer.errors import (
     ActionMismatch,
@@ -36,7 +42,7 @@ from kummer.groups import FiniteGroup, StabiliserChain, stabiliser_chain, symmet
 from kummer.lattice import Lattice
 from kummer.picard import KummerLatticeModel, numerology, torsor_factor_group
 from kummer.pipeline import CaseInput, FactorInput
-from kummer.reps import GModule, standard_module
+from kummer.reps import GModule, permutation_module, standard_module
 from kummer.smith import RowSolver, ZMatrix, bareiss_det
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +89,21 @@ def _chain_without_last_strong_generator():
     StabiliserChain(g, base, strong[:-1])
 
 
+def _on_f3_module(call):
+    # cohomology is F_2 only: an F_3 module is refused before any Z^1 rows
+    # are cached on it
+    def run():
+        m = permutation_module(symmetric_group(4), 3)
+        try:
+            call(m)
+        finally:
+            if m._z1_rows is not None:
+                raise RuntimeError("Z^1 rows cached on a refused module")
+
+    return run
+
+
+ZERO_COCYCLE = [(0, 0, 0, 0)] * 2
 X3 = IntPolynomial((-1, -1, 0, 1))  # x^3 - x - 1
 X5 = IntPolynomial((1, -1, 0, 0, 0, 1))  # x^5 - x + 1
 S3 = symmetric_group(3)
@@ -140,6 +161,16 @@ SITES = {
         GroupCheckFailed,
     ),
     "chain-strong-generator-dropped": (_chain_without_last_strong_generator, GroupCheckFailed),
+    "cohomology-f3-h1": (_on_f3_module(h1), DimensionMismatch),
+    "cohomology-f3-validate-module": (_on_f3_module(validate_module), DimensionMismatch),
+    "cohomology-f3-is-cocycle": (
+        _on_f3_module(lambda m: is_cocycle(m, ZERO_COCYCLE)),
+        DimensionMismatch,
+    ),
+    "cohomology-f3-cocycle-class": (
+        _on_f3_module(lambda m: cocycle_class_is_nonzero(m, ZERO_COCYCLE)),
+        DimensionMismatch,
+    ),
     "cocycle-space-h1": (
         lambda: CocycleSpace(standard_module(5, "S"), 4, 4, 1, ()),
         GroupCheckFailed,
