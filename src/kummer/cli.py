@@ -1,8 +1,8 @@
 """Command-line entry point.
 
     verify --input case.json --report out.json [--prime-bound N]
-           [--mode certify|heuristic] [--audit example1|example2|example3]
-           [--force-fail CHECK]
+           [--mode certify|heuristic] [--force-fail CHECK]
+    verify --audit example1|example2|example3 --report out.json
 
 Exit codes: 0 = all conclusions asserted (and --help), 2 = conclusions
 withheld, 3 = a soundness check of the engine failed (GroupCheckFailed,
@@ -86,6 +86,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.audit:
+            case_flags = ("input", "prime_bound", "mode", "force_fail")
+            given = [f"--{k.replace('_', '-')}" for k in case_flags if getattr(args, k) is not None]
+            if given:
+                raise InputError(f"--audit takes no case options, got {', '.join(given)}")
             record = {
                 "example1": lambda: audit_example_1_odd(3),
                 "example2": audit_example_2_goursat,

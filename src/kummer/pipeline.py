@@ -27,6 +27,13 @@ decodes fresh detail dicts, and an entry is kept only once all of its checks
 have passed.  Fault injection, the skips after a failed Galois
 certification and the strict torsor-count rule stay per call.  The bundled
 audits recompute everything.
+
+Stages 1 and 2 read each factor's Galois certificate and discriminant class
+through two more memos, ``_certificate`` keyed by (polynomial, prime bound)
+and ``_disc_class`` keyed by the discriminant, so a process certifies each
+polynomial once per bound and factors each discriminant once.  Their keys
+come from outside input, so each keeps at most MEMO_SIZE entries, the least
+recently used evicted.  Neither keeps a raise, and the audits bypass both.
 """
 
 from __future__ import annotations
@@ -342,10 +349,32 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
     return VerdictReport(_case_echo(case), hypotheses, audit, _conclusions(case, failing), citations)
 
 
+MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _certificate(poly, prime_bound):
+    """``certify_galois(poly, prime_bound)``, once per (polynomial, bound) in a
+    process.  The bound is part of the key: a larger bound can find witnesses
+    a smaller one misses.  A raise (GaloisCheckFailed, Inseparable) is not
+    kept.  ``certify_galois`` is looked up at each fill, so a wrapper put on
+    the module name sees the fills only."""
+    return certify_galois(poly, prime_bound)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _disc_class(d):
+    """``disc_class(d)``, once per discriminant in a process, so a polynomial
+    and its shift f(x + k) share one factoring.  A raise
+    (FactorBudgetExceeded) is not kept; ``disc_class`` is looked up at each
+    fill, as in ``_certificate``."""
+    return disc_class(d)
+
+
 def _galois_stage(case):
     """(1) Galois certification: S_d or A_d, and S_3 only at degree 3.
     Returns (passed, details, certificates)."""
-    certs = [certify_galois(f.poly, case.prime_bound) for f in case.factors]
+    certs = [_certificate(f.poly, case.prime_bound) for f in case.factors]
     details = [
         {
             "poly": [str(c) for c in f.poly.coefficients],
@@ -365,7 +394,7 @@ def _galois_stage(case):
 def _disjointness_stage(case, certs):
     """(2) Linear disjointness of the splitting fields."""
     try:
-        classes = [disc_class(cert.discriminant) for cert in certs]
+        classes = [_disc_class(cert.discriminant) for cert in certs]
         out = certify_family_disjoint(certs, classes)
     except FactorBudgetExceeded as exc:
         return case.mode == "heuristic", {"verdict": "HeuristicOnly", "reason": str(exc)}

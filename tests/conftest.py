@@ -13,11 +13,13 @@ from kummer import pipeline  # noqa: E402
 
 def clear_pipeline_memo():
     pipeline._signature_outcomes.cache_clear()
+    pipeline._certificate.cache_clear()
+    pipeline._disc_class.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_pipeline_memo():
-    """Start every test with the pipeline's per-process memo empty, so a test
+    """Start every test with the pipeline's per-process memos empty, so a test
     that counts enumerations or patches a stage helper sees the computation
     run, whatever earlier tests left in the memo."""
     clear_pipeline_memo()

@@ -269,3 +269,23 @@ def test_one_process_reuses_the_parser(tmp_path, capsys):
     assert excinfo.value.code == 0
     assert "--prime-bound" in capsys.readouterr().out
     assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--input", str(CASES / "example1.json")],
+        ["--prime-bound", "7"],
+        ["--mode", "heuristic"],
+        ["--force-fail", "h1_vanishing"],
+    ],
+    ids=lambda option: option[0],
+)
+def test_an_audit_refuses_case_options(tmp_path, capsys, option):
+    # a bundled audit reads no case, so a case option with it is malformed
+    # input, not something to drop without a word
+    report = tmp_path / "report.json"
+    assert main(["--audit", "example1", *option, "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and option[0] in err
+    assert not report.exists()

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import clear_pipeline_memo
 from kummer import cohomology, disjoint, galois, pipeline, reps
+from kummer.errors import FactorBudgetExceeded
 from kummer.galois import IntPolynomial
 from kummer.groups import FiniteGroup
 from kummer.pipeline import CaseInput, FactorInput, run_case
@@ -206,3 +207,101 @@ def test_one_fill_spins_up_each_distinct_module_once(kind, expected, monkeypatch
     pipeline._signature_outcomes(((7, kind, False),))
     assert len(calls) == expected
     assert all(a != b for i, a in enumerate(calls) for b in calls[i + 1 :])
+
+
+# ---------------------------------------------------------------------------
+# the per-polynomial memos of stages 1 and 2: _certificate and _disc_class
+
+X5_PLUS = IntPolynomial((1, -1, 0, 0, 0, 1))  # x^5 - x + 1: Unknown at bound 2, S_5 at 3
+
+
+def _pool():
+    x3 = [IntPolynomial(c) for c in POLYS[3, "S"]]
+    x5 = IntPolynomial(POLYS[5, "S"][0])
+    layouts = [((x3[0], x5), 500), ((x3[1], x5), 500), ((x3[2], x3[0]), 500), ((x3[0], x5), 400)]
+    return [
+        CaseInput(tuple(FactorInput(p, False) for p in polys), prime_bound=bound)
+        for polys, bound in layouts
+    ]
+
+
+def test_two_passes_certify_once_per_key_and_factor_once_per_discriminant(monkeypatch):
+    pool = _pool()
+    certifications = record_calls(monkeypatch, pipeline, "certify_galois")
+    factorings = record_calls(monkeypatch, disjoint, "squarefree_kernel")
+    cold = [digest(run_case(case)) for case in pool]
+    assert [digest(run_case(case)) for case in pool] == cold
+    keys = {(f.poly, case.prime_bound) for case in pool for f in case.factors}
+    discs = {galois.discriminant(poly) for poly, _ in keys}
+    assert sorted(certifications, key=repr) == sorted(keys, key=repr)
+    assert sorted(n for (n,) in factorings) == sorted(discs)
+
+
+def test_a_shifted_cubic_pair_factors_its_discriminant_once(monkeypatch):
+    f = IntPolynomial(POLYS[3, "S"][0])
+    case = CaseInput((FactorInput(f, False), FactorInput(f.shift(3), False)), prime_bound=500)
+    factorings = record_calls(monkeypatch, disjoint, "squarefree_kernel")
+    report = run_case(case)
+    assert report.hypotheses[0]["passed"]
+    assert factorings == [(galois.discriminant(f),)]
+    classes = report.hypotheses[1]["details"]["classes"]
+    assert len(classes) == 2 and classes[0] == classes[1]
+
+
+def test_the_prime_bound_is_part_of_the_certificate_key():
+    cases = [CaseInput((FactorInput(X5_PLUS, True),), prime_bound=b) for b in (2, 3)]
+    cold = []
+    for case in cases:
+        clear_pipeline_memo()
+        report = run_case(case)
+        cold.append(digest(report))
+        assert report.hypotheses[0]["details"][0]["verdict"] == (
+            "Unknown" if case.prime_bound == 2 else "SymmetricGroup"
+        )
+    clear_pipeline_memo()
+    for i in (0, 1, 1, 0):
+        assert digest(run_case(cases[i])) == cold[i], cases[i].prime_bound
+
+
+def test_mutating_galois_and_disjointness_details_leaves_the_next_report_alone():
+    case = signature_case((3, 5), ("S", "S"), (True, False))
+    first = run_case(case)
+    expected = digest(first)
+    galois_details, disjoint_details = first.hypotheses[0]["details"], first.hypotheses[1]["details"]
+    galois_details[0]["witnesses"].append([2, [3], "odd-permutation"])
+    galois_details[1]["witnesses"][0][1].append(99)
+    for entry in disjoint_details["classes"]:
+        entry["support"].append(10**9 + 7)
+    assert digest(run_case(case)) == expected
+
+
+def test_the_per_polynomial_memos_are_bounded():
+    # their keys come from outside input, so an unbounded memo would grow for
+    # the life of the process
+    for memo in (pipeline._certificate, pipeline._disc_class):
+        assert memo.cache_info().maxsize == pipeline.MEMO_SIZE
+        assert isinstance(pipeline.MEMO_SIZE, int)
+
+
+@pytest.mark.parametrize("mode,passed", [("certify", False), ("heuristic", True)])
+def test_a_factoring_budget_raise_reaches_run_case(mode, passed, monkeypatch):
+    factors = signature_case((3, 5), ("S", "S"), (True, False)).factors
+    case = CaseInput(factors, prime_bound=500, mode=mode)
+    expected = digest(run_case(case))
+    clear_pipeline_memo()
+
+    def over_budget(d):
+        raise FactorBudgetExceeded(f"cannot split cofactor of {d}")
+
+    monkeypatch.setattr(pipeline, "disc_class", over_budget)
+    report = run_case(case)
+    check = report.hypotheses[1]
+    assert check["name"] == "linear_disjointness" and check["passed"] is passed
+    assert check["details"]["verdict"] == "HeuristicOnly"
+    assert report.asserted is passed
+    if not passed:
+        assert report.conclusions["withheld_because"] == ["linear_disjointness"]
+    monkeypatch.undo()
+    fills = record_calls(monkeypatch, pipeline, "disc_class")
+    assert digest(run_case(case)) == expected
+    assert len(fills) == len(factors)

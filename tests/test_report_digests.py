@@ -7,6 +7,8 @@ the pipeline cannot change a report without changing this table.
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +128,26 @@ def test_every_digest_holds_in_one_warm_process():
     for key, case, fault in INPUTS + INPUTS[::-1]:
         report = run_case(case, force_fail=fault).to_json()
         assert hashlib.sha256(report.encode()).hexdigest() == DIGESTS[key], key
+
+
+def test_every_digest_holds_in_one_warm_optimized_process():
+    # python -O strips asserts; the memos are kept across these calls,
+    # forward and then reversed, in one process
+    script = (
+        "import hashlib, sys\n"
+        "from kummer.pipeline import run_case\n"
+        "from test_report_digests import INPUTS\n"
+        "print(sys.flags.optimize)\n"
+        "for key, case, fault in INPUTS + INPUTS[::-1]:\n"
+        "    report = run_case(case, force_fail=fault).to_json()\n"
+        "    print(key, hashlib.sha256(report.encode()).hexdigest())\n"
+    )
+    env = {"PYTHONPATH": f"{CASES.parent / 'src'}:{CASES.parent / 'tests'}", "PATH": "/usr/bin:/bin"}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    optimize, *lines = out.stdout.splitlines()
+    assert optimize == "1"
+    order = [key for key, _, _ in INPUTS + INPUTS[::-1]]
+    assert [line.split(" ") for line in lines] == [[key, DIGESTS[key]] for key in order]
