@@ -7,14 +7,13 @@ failure (genuine or fault-injected) withholds all of them.
 
 ``run_case`` calls one stage function per check: Galois certification,
 disjointness, module structure, H^1 vanishing, and one equivariant stage for
-the two lattice checks, which share the model and P.  Each stage returns
-``(passed, details)``, plus what later stages need.  ``run_case`` alone
-handles fault injection, the skips after a failed Galois certification, the
-strict torsor-count rule and the conclusions.  No stage enumerates a product
-group (stage 3 reads it through generator matrices, stages 5 and 6 work
-factor by factor, and stage 6 reads H^1(P_i, V_i) off stages 3 and 4, so no
-V x| G is enumerated), so every input beyond the lattice cap (g > 3) gets a
-withheld report.
+the two lattice checks.  Each stage returns ``(passed, details)``, plus
+what later stages need.  ``run_case`` alone handles fault injection, the
+skips after a failed Galois certification, the strict torsor-count rule and
+the conclusions.  No stage builds a product group's points or elements:
+stage 3 reads it through generator matrices, and stages 5 and 6 sum facts of
+each P_i on its own 2^dim points, read off stages 3 and 4 (no V x| G is
+enumerated).  So every input past the lattice cap gets a withheld report.
 
 Stages 3 to 6 depend only on the Galois-module type of each factor: the
 degree d, S_d or A_d, and whether the 2-covering is a nontrivial torsor.  So
@@ -23,10 +22,9 @@ certificates and the case, and their outcomes are computed once per tuple in
 a process (``_signature_outcomes``).  Within one computation each distinct
 factor module is built and validated once, each distinct P_i once, and the
 lattice model once.  The outcomes are kept as a JSON string, so every call
-decodes fresh detail dicts, and an entry is kept only once all of its checks
-have passed.  Fault injection, the skips after a failed Galois
-certification and the strict torsor-count rule stay per call.  The bundled
-audits recompute everything.
+decodes fresh detail dicts, and a fill that raised keeps no entry.  Fault
+injection, the skips after a failed Galois certification and the strict
+torsor-count rule stay per call.  The bundled audits recompute everything.
 
 Stages 1 and 2 read each factor's Galois certificate and discriminant class
 through two more memos, ``_certificate`` keyed by (polynomial, prime bound)
@@ -494,8 +492,8 @@ def _h1_stage(modules):
 
 
 def _torsor_factor(mod, flag):
-    """P_i = ``torsor_factor_group(V_i, flag)``, its order, and stage 6's line
-    for the factor less its index, read off stages 3 and 4 for either flag.
+    """P_i = ``torsor_factor_group(V_i, flag)``'s order, stage 6 line less
+    the index, H^1(P_i, Pi_1) on its 2^dim points, and whether it fixes 0.
 
     P_i's generators must be the translation by e_0 if the flag is set, then
     G_i's generators with their matrices, no translation and their action on
@@ -521,45 +519,47 @@ def _torsor_factor(mod, flag):
     line["h1_pic_factor_model"] = hv - int(flag)
     if flag:
         line["torsor_class_nonzero"] = True
-    return p_i, g.order() << (dim if flag else 0), line
+    perms = point_permutations(p_i)
+    fixes0 = all(perm[0] == 0 for perm in perms)
+    return g.order() << (dim if flag else 0), line, h1_pi1_from_points(perms), fixes0
 
 
 def _equivariant_stage(sigs, modules):
     """(5)+(6) Equivariant audit over the torsor Galois group P = prod P_i,
     P_i = ``torsor_factor_group(V_i, flag_i)``: H^1(P, Pi_1) and the assembled
     H^1 of the Picard model, for the factor signatures ``sigs`` and their
-    modules in factor order.  Returns the (passed, details) pairs of both
-    checks.  Neither P nor any P_i is enumerated.
+    modules in factor order, as two (passed, details) pairs.  P is never
+    built: each fact of a factor is ``_torsor_factor``'s.
 
-    H^1(P, Pi_1) comes from the Schreier graph of P on the 2^{2g} points
-    (``h1_pi1_from_points``).  V_i is inflated from P_i, and for P = P_i x P'
-    inflation-restriction gives H^1(P, V_i) = H^1(P_i, V_i) + Hom(P', V_i^{P_i})
-    (Brown, Cohomology of Groups, ch. III).  V_i^{P_i} = V_i^{G_i}, which
-    stage 3 finds 0; with more than one factor a nonzero one raises.  The
-    torsor cocycle is inflated from P_i, and inflation is injective on H^1,
-    so its class is read on P_i; ``_torsor_factor`` reads it, H^1(P_i, V_i)
-    and |P_i| off stages 3 and 4.
+    P acts coordinate-wise on prod F_2^{dim V_i}, so Stab_P(x) = prod
+    Stab_{P_i}(x_i) and Hom(P, Z/2) = + Hom(P_i, Z/2): a character vanishes on
+    every point stabiliser iff each chi_i does on every Stab_{P_i}(x_i).  So
+    H^1(P, Pi_1) sums H^1(P_i, Pi_1) over the factors, once per occurrence,
+    and P fixes the point 0 iff every P_i fixes its own.  For P = P_i x P',
+    inflation-restriction gives H^1(P, V_i) = H^1(P_i, V_i) + Hom(P',
+    V_i^{P_i}) (Brown, Cohomology of Groups, ch. III); V_i^{P_i} = V_i^{G_i},
+    which stage 3 finds 0, and with more than one factor a nonzero one raises.
+    Inflation is injective on H^1, so the torsor class is read on P_i.
 
-    The lattice model is desk-bounded: beyond EQUIVARIANT_G_CAP both checks
-    fail closed unrun, and every conclusion stays withheld.  Below it the
-    model is built only to check that P permutes its ambient_dim points.
+    Beyond EQUIVARIANT_G_CAP both checks fail closed unrun, and every
+    conclusion stays withheld.  Below it the lattice model is built only to
+    check that P acts on its ambient_dim points.
     """
     g = sum((d - 1) // 2 for d, _, _ in sigs)
     if g > EQUIVARIANT_G_CAP:
         skip = f"total dimension g = {g} beyond the lattice cap g <= {EQUIVARIANT_G_CAP}"
         return (False, {"skipped": skip}), (False, {"skipped": skip})
     torsors = {sig: _torsor_factor(mod, sig[2]) for sig, mod in dict(zip(sigs, modules)).items()}
-    perms = point_permutations(direct_product(*(torsors[sig][0] for sig in sigs)))
-    ambient = build_nikulin_lattice(g).ambient_dim
-    if len(perms[0]) != ambient:
-        raise ActionMismatch(f"P permutes {len(perms[0])} points, not {ambient}")
-    h1_pi1 = h1_pi1_from_points(perms)
+    orders, lines, h1s, fixes0 = zip(*(torsors[sig] for sig in sigs))
+    points, ambient = 1 << sum(mod.dim for mod in modules), build_nikulin_lattice(g).ambient_dim
+    if points != ambient:
+        raise ActionMismatch(f"P permutes {points} points, not {ambient}")
     # {e_x : x != 0} + {half the full sum} is P-stable iff P fixes the point 0
-    perm_basis = all(perm[0] == 0 for perm in perms)
+    h1_pi1, perm_basis = sum(h1s), all(fixes0)
     all_trivial = not any(flag for _, _, flag in sigs)
     pi1_ok = h1_pi1 == 0 and (perm_basis if all_trivial else True)
     pi1_details = {
-        "group_order": math.prod(torsors[sig][1] for sig in sigs),
+        "group_order": math.prod(orders),
         "h1_pi1": h1_pi1,
         "pi1_permutation_basis": perm_basis,
         "all_torsors_trivial": all_trivial,
@@ -567,7 +567,7 @@ def _equivariant_stage(sigs, modules):
     for i, mod in enumerate(modules):
         if len(modules) > 1 and h0(mod) != 0:
             raise EngineError(f"V_{i} has invariants: H^1(P, V_{i}) is not H^1(P_{i}, V_{i})")
-    lines = [{"factor": i, **torsors[sig][2]} for i, sig in enumerate(sigs)]
+    lines = [{"factor": i, **line} for i, line in enumerate(lines)]
     assembled = h1_pi1 + sum(line["h1_pic_factor_model"] for line in lines)
     pic_ok = pi1_ok and assembled == 0 and all(
         line["h1_torsor_group_module"] == line["expected"] and line["h1_pic_factor_model"] == 0

@@ -1,8 +1,10 @@
 """Stages 5 and 6 without the product group: the Schreier-graph H^1(P, Pi_1)
-against the lattice path, and the factorwise stage against the full-product
-oracle."""
+against the lattice path, its sum over the factors of a direct product, the
+factorwise stage against the full-product oracle, and each part of the
+stage's two checks made false on its own."""
 
 import json
+import math
 import random
 from itertools import product
 from pathlib import Path
@@ -12,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kummer import pipeline
-from kummer.errors import EngineError
+from kummer.cohomology import validate_module
+from kummer.errors import ActionMismatch, EngineError
 from kummer.galois import IntPolynomial
-from kummer.groups import FiniteGroup
+from kummer.groups import FiniteGroup, symmetric_group
 from kummer.picard import (
     build_nikulin_lattice,
     h1_pi1_from_points,
@@ -22,7 +25,7 @@ from kummer.picard import (
     lattice_action_matrices,
 )
 from kummer.pipeline import CaseInput, FactorInput, parse_case, run_case
-from kummer.reps import standard_module
+from kummer.reps import GModule, standard_module
 from oracles import full_product_equivariant_stage
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -195,3 +198,182 @@ def test_invariants_in_a_factor_module_fail_closed(monkeypatch):
     with pytest.raises(EngineError) as excinfo:
         run_case(case)
     assert excinfo.traceback[-1].name == "_equivariant_stage"
+
+
+def test_invariants_in_a_lone_factor_module_withhold_without_raising(monkeypatch):
+    # with one factor P = P_1, so invariants drop nothing from H^1(P, V_1):
+    # stage 3 fails on them and nothing raises
+    monkeypatch.setattr(pipeline, "h0", lambda m: 1)
+    rep = run_case(parse_case(json.loads((CASES / "example1.json").read_text())))
+    assert rep.conclusions["withheld_because"] == ["module_structure"]
+
+
+# ---------------------------------------------------------------------------
+# H^1(P, Pi_1) of a direct product, factor by factor
+
+
+def product_action(factors):
+    """Generators of the direct product of permutation groups, each factor's
+    acting on its own coordinate of the product of the point sets (mixed
+    radix, the first factor lowest), so the point 0 is every factor's 0."""
+    total = math.prod(len(perms[0]) for perms in factors)
+    out, stride = [], 1
+    for perms in factors:
+        n = len(perms[0])
+        for perm in perms:
+            moved = [perm[x // stride % n] - x // stride % n for x in range(total)]
+            out.append([x + step * stride for x, step in enumerate(moved)])
+        stride *= n
+    return out
+
+
+FREE_Z2 = [[1, 0]]
+S3_ON_3 = [[1, 0, 2], [1, 2, 0]]
+Z4_ON_4 = [[1, 2, 3, 0]]
+
+PRODUCT_EXAMPLES = {
+    # Z/2 x Z/4 acts freely: every character of it survives
+    "free-z2-x-free-z4": ([FREE_Z2, Z4_ON_4], 2),
+    # the sign of S_3 is nonzero on a point stabiliser, so only Z/2's survives
+    "s3-x-free-z2": ([S3_ON_3, FREE_Z2], 1),
+    "free-z2-cubed": ([FREE_Z2] * 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_EXAMPLES)
+def test_h1_pi1_of_product_examples(name):
+    factors, expected = PRODUCT_EXAMPLES[name]
+    assert h1_pi1_from_points(product_action(factors)) == expected
+    assert sum(h1_pi1_from_points(perms) for perms in factors) == expected
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """1-3 permutations of 2-8 points, drawn as in ``permutation_groups``:
+    random ones with fixed points, or translations of F_2^m on blocks of a
+    power of 2 points, relabelled by a random permutation."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        perms = []
+        for _ in range(k):
+            moved = rng.sample(range(n), rng.randrange(n + 1))
+            perm = list(range(n))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                perm[a] = b
+            perms.append(perm)
+    else:
+        n = draw(st.sampled_from([2, 4, 8]))
+        size = 1 << draw(st.integers(1, n.bit_length() - 1))
+        perms = [
+            on_blocks(n, [translations(size, [rng.randrange(size)])[0] for _ in range(n // size)])
+            for _ in range(k)
+        ]
+    sigma = rng.sample(range(n), n)
+    inverse = sorted(range(n), key=sigma.__getitem__)
+    return [[sigma[perm[inverse[x]]] for x in range(n)] for perm in perms]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(small_permutation_groups(), min_size=2, max_size=3))
+def test_h1_pi1_of_a_direct_product_is_the_sum_over_its_factors(factors):
+    whole = product_action(factors)
+    assert h1_pi1_from_points(whole) == sum(h1_pi1_from_points(perms) for perms in factors)
+    fixes0 = all(perm[0] == 0 for perms in factors for perm in perms)
+    assert all(perm[0] == 0 for perm in whole) == fixes0
+
+
+def record_arguments(monkeypatch, name):
+    calls = []
+    real = getattr(pipeline, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, name, recording)
+    return calls
+
+
+def test_the_verdict_path_acts_with_one_factor_group_at_a_time(monkeypatch):
+    # stage 5 builds no product of the P_i: each one acts on its own one
+    # F_2 block of 2^dim points
+    acting = record_arguments(monkeypatch, "point_permutations")
+    products = record_arguments(monkeypatch, "direct_product")
+    for degrees, kinds, flags in SIGNATURES:
+        _, modules = _stage_inputs(degrees, kinds, flags)
+        pipeline._equivariant_stage(tuple(zip(degrees, kinds, flags)), modules)
+    for name in ("example1", "two_jacobians"):
+        assert run_case(parse_case(json.loads((CASES / f"{name}.json").read_text()))).asserted
+    assert products == []
+    assert len(acting) > len(SIGNATURES)
+    assert all(len(group.blocks) == 1 for group, in acting), [g.blocks for g, in acting]
+
+
+# ---------------------------------------------------------------------------
+# each part of pi1_ok and pic_ok false on its own
+
+
+def _with(h1_pi1=None, fixes0=None, **bumps):
+    """An edit of ``_torsor_factor``'s facts: h1_pi1 or fixes0 replaced, and
+    each named stage 6 line value moved by the given amount."""
+
+    def edit(order, line, h1, fixes):
+        line = {**line, **{key: line[key] + by for key, by in bumps.items()}}
+        return order, line, h1 if h1_pi1 is None else h1_pi1, fixes if fixes0 is None else fixes0
+
+    return edit
+
+
+# factors x^3 (V of dim 2) and x^5 (dim 4), both S_d: the torsor flags, the
+# edit per V_i's dim, and the (pi1_ok, pic_ok) the stage must return.
+# assembled == 0 follows from pi1_ok and every line's h1_pic_factor_model == 0,
+# so no edit makes it the one false part; "factor-model-nonzero" makes both
+# false.
+STAGE_PARTS = {
+    "h1-pi1-nonzero": ((True, False), {4: _with(h1_pi1=1)}, (False, False)),
+    "fixes-0-false-every-torsor-trivial": (
+        (False, False),
+        {2: _with(fixes0=False)},
+        (False, False),
+    ),
+    "fixes-0-false-a-torsor-nontrivial": ((True, False), {4: _with(fixes0=False)}, (True, True)),
+    "torsor-module-off-expected": (
+        (True, False),
+        {2: _with(h1_torsor_group_module=1)},
+        (True, False),
+    ),
+    "factor-models-cancel": (
+        (True, False),
+        {2: _with(h1_pic_factor_model=1), 4: _with(h1_pic_factor_model=-1)},
+        (True, False),
+    ),
+    "factor-model-nonzero": ((False, True), {2: _with(h1_pic_factor_model=1)}, (True, False)),
+}
+
+
+@pytest.mark.parametrize("name", STAGE_PARTS)
+def test_each_part_of_stages_5_and_6_decides_alone(monkeypatch, name):
+    flags, edits, expected = STAGE_PARTS[name]
+    real = pipeline._torsor_factor
+    monkeypatch.setattr(
+        pipeline,
+        "_torsor_factor",
+        lambda mod, flag: edits.get(mod.dim, lambda *facts: facts)(*real(mod, flag)),
+    )
+    sigs = ((3, "S", flags[0]), (5, "S", flags[1]))
+    (pi1_ok, pi1), (pic_ok, pic) = pipeline._equivariant_stage(
+        sigs, [standard_module(3, "S"), standard_module(5, "S")]
+    )
+    assert (pi1_ok, pic_ok) == expected, (pi1, pic)
+
+
+def test_a_translation_orbit_that_spans_only_over_f3_fails_closed():
+    # a genuine F_2[S_2]-module on which e_0 spans only a plane; the same 0/1
+    # matrix spans all of F_3^3 from e_0, so the spin-up must be over F_2
+    b = ((0, 1, 0), (1, 0, 0), (1, 1, 1))
+    mod = GModule(symmetric_group(2), 3, 2, (b, b))
+    validate_module(mod)
+    with pytest.raises(ActionMismatch):
+        pipeline._torsor_factor(mod, True)

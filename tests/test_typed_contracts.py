@@ -80,6 +80,25 @@ def _torsor_factor_of(build):
     return run
 
 
+def _torsor_line_off_expected(force_fail=None):
+    # stages 1 to 4 pass, but stage 6 finds H^1(P_i, V_i) one more than the
+    # torsor flag predicts: run_case refuses to reconcile them, unless a
+    # forced failure already withholds the verdict
+    real = pipeline._torsor_factor
+
+    def off(mod, flag):
+        order, line, h1_pi1, fixes0 = real(mod, flag)
+        return order, {**line, "h1_torsor_group_module": line["expected"] + 1}, h1_pi1, fixes0
+
+    pipeline._torsor_factor = off
+    pipeline._signature_outcomes.cache_clear()
+    try:
+        return pipeline.run_case(CaseInput((FactorInput(X5, True),)), force_fail)
+    finally:
+        pipeline._torsor_factor = real
+        pipeline._signature_outcomes.cache_clear()
+
+
 def _chain_without_last_strong_generator():
     # S_5's last base point loses its only strong generator, so a Schreier
     # generator of the level above it leaves a residue; no order is declared,
@@ -156,6 +175,7 @@ SITES = {
         lambda: pipeline._torsor_factor(GModule(S3, 2, 2, (EYE2, EYE2)), True),
         ActionMismatch,
     ),
+    "run-case-torsor-line-off-expected": (_torsor_line_off_expected, EngineError),
     "chain-order-not-known-order": (
         lambda: stabiliser_chain(FiniteGroup(symmetric_group(4).generators, known_order=12)),
         GroupCheckFailed,
@@ -176,6 +196,11 @@ SITES = {
         GroupCheckFailed,
     ),
 }
+
+
+def test_a_forced_failure_withholds_what_the_torsor_line_would_refuse():
+    report = _torsor_line_off_expected("linear_disjointness")
+    assert report.conclusions["withheld_because"] == ["linear_disjointness", "pic_model_cohomology"]
 
 
 def _matrix():
