@@ -250,41 +250,33 @@ class StabiliserChain:
     the orbit of b_i under G^(i), the group of the strong generators of depth
     >= i, maps to (u_p, the table of u_p^-1, the word of u_p), b_i u_p = p,
     u_{b_i} = 1.  A word is the tuple of exponent sums of g's generators.
+    ``strong`` lists the strong generators as (element, word, depth).
 
-    Every generator of g and every Schreier generator u_p s u_{ps}^-1 must sift
-    to 1 through the levels below its own, or GroupCheckFailed is raised.  So
-    G^(i+1) is the stabiliser of b_i in G^(i) (Schreier's lemma), the order is
-    the product of the orbit lengths, and the words the sifts leave are
-    relators that present the abelianisation of g.
+    ``_schreier_sims`` builds the chain and sifts each Schreier generator
+    u_p s u_{ps}^-1 of the final chain to 1 once, through the levels below
+    its own, or raises GroupCheckFailed.  So G^(i+1) is the stabiliser of b_i
+    in G^(i) (Schreier's lemma), and the order is the product of the orbit
+    lengths.  The words these sifts leave, with those of the generators of g
+    that sift to 1 (the others are strong generators), are relators that
+    present the abelianisation of g.
     """
 
-    __slots__ = ("ngens", "levels", "relators", "order")
+    __slots__ = ("ngens", "levels", "strong", "relators", "order")
 
-    def __init__(self, g: FiniteGroup, base, strong):
-        k = self.ngens = len(g.generators)
-        self.levels = [(b, {b: (_ID, _ID, (0,) * k)}) for b in base]
-        tables = [(d, (y, bytes.maketrans(y, _ID), w)) for y, w, d in strong]
-        level_gens = [[s for d, s in tables if d >= i] for i in range(len(base))]
-        for (b, trans), gens in zip(self.levels, level_gens):
-            _close(trans, gens, [b])
-        sift = self._sift_to_one
-        self.relators = {sift(_table(x), _unit(j, k), 0) for j, x in enumerate(g.generators)}
-        for i, (_, trans) in enumerate(self.levels):
-            self.relators.update(sift(h, w, i + 1) for _, h, w in _schreier(trans, level_gens[i]))
+    def __init__(self, g: FiniteGroup):
+        self.ngens = len(g.generators)
+        self.levels, self.strong, self.relators = _schreier_sims(g)
         self.order = math.prod(len(trans) for _, trans in self.levels)
         if g.known_order is not None and g.known_order != self.order:
             label = g.name or "group"
             raise GroupCheckFailed(f"{label}: chain order {self.order} != {g.known_order}")
 
-    def _sift_to_one(self, x, w, i):
-        x, w, _ = _sift(self.levels, x, w, i)
-        if x != _ID:
-            raise GroupCheckFailed("an element does not sift through the stabiliser chain")
-        return w
-
     def word(self, x):
         """The word of an element of the group, from a sift from the top."""
-        return tuple(-a for a in self._sift_to_one(_table(x), (0,) * self.ngens, 0))
+        y, w, _ = _sift(self.levels, _table(x), (0,) * self.ngens, 0)
+        if y != _ID:
+            raise GroupCheckFailed("an element does not sift through the stabiliser chain")
+        return tuple(-a for a in w)
 
     def hom_basis(self, l):
         """Basis of Hom(G, F_l), l prime, as values on the generators: the null
@@ -309,7 +301,7 @@ def _close(trans, gens, todo):
                 todo.append(q)
 
 
-def _schreier(trans, gens, done=()):
+def _schreier(trans, gens, done):
     """((p, index of s), u_p s u_{ps}^-1, its word) for each point p of a
     level's orbit and each generator s of the level, but the pairs in done."""
     for p, (u, _, wu) in trans.items():
@@ -334,20 +326,25 @@ def _sift(levels, x, w, i):
 
 
 def _schreier_sims(g: FiniteGroup):
-    """Base points and strong generators (element, word, depth) of g, by
-    deterministic Schreier-Sims: a residue that fixes b_0 .. b_{j-1} is a
-    strong generator of depth j, with a new base point (the first point it
-    moves) if j is past the base.  Levels are completed deepest first; a
-    Schreier generator that has sifted to 1 is not sifted again."""
+    """Levels, strong generators and relators of g, by deterministic
+    Schreier-Sims: a residue that fixes b_0 .. b_{j-1} is a strong generator
+    of depth j, with a new base point (the first point it moves) if j is past
+    the base.  Levels are completed deepest first.  When a Schreier generator
+    sifts to 1 its pair (p, s) is marked and the word it leaves kept as a
+    relator; one that leaves a residue is sifted again once the residue is a
+    strong generator.  Transversal entries are never replaced and levels only
+    grow, so a sift to 1 stays one in the final chain, and each Schreier
+    generator of the final chain is sifted to 1 once.  GroupCheckFailed is
+    raised unless every level marks |orbit| x |level generators| pairs."""
     k = len(g.generators)
-    levels, level_gens, done, strong = [], [], [], []
+    levels, level_gens, marked, strong, relators = [], [], [], [], set()
 
     def add_strong(y, w, depth):
         if depth == len(levels):
             b = next(p for p in range(MAX_POINTS) if y[p] != p)
             levels.append((b, {b: (_ID, _ID, (0,) * k)}))
             level_gens.append([])
-            done.append(set())
+            marked.append(set())
         strong.append((y, w, depth))
         gen = (y, bytes.maketrans(y, _ID), w)
         for (_, trans), gens in zip(levels[: depth + 1], level_gens):
@@ -358,31 +355,37 @@ def _schreier_sims(g: FiniteGroup):
             _close(trans, gens, todo[n:])
 
     def residue(i):
-        for key, h, w in _schreier(levels[i][1], level_gens[i], done[i]):
+        for key, h, w in _schreier(levels[i][1], level_gens[i], marked[i]):
             y, w, depth = _sift(levels, h, w, i + 1)
             if y != _ID:
                 return y, w, depth
-            done[i].add(key)
+            marked[i].add(key)
+            relators.add(w)
         return None
 
     for j, x in enumerate(g.generators):
         y, w, depth = _sift(levels, _table(x), _unit(j, k), 0)
         if y != _ID:
             add_strong(y, w, depth)
+        else:
+            relators.add(w)
     i = len(levels) - 1
     while i >= 0:
         found = residue(i)
         if found:
             add_strong(*found)
         i = found[2] if found else i - 1
-    return [b for b, _ in levels], strong
+    for (_, trans), gens, pairs in zip(levels, level_gens, marked):
+        if len(pairs) != len(trans) * len(gens):
+            raise GroupCheckFailed("a Schreier generator of the chain was never sifted to 1")
+    return levels, strong, relators
 
 
 def stabiliser_chain(g: FiniteGroup) -> StabiliserChain:
     """The verified stabiliser chain of g, built on every call."""
     if g.degree > MAX_POINTS:
         raise CapExceeded(f"{g.name or 'group'} acts on {g.degree} > {MAX_POINTS} points")
-    return StabiliserChain(g, *_schreier_sims(g))
+    return StabiliserChain(g)
 
 
 def elementary_l_quotient_kernel(g: FiniteGroup, l: int):

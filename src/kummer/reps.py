@@ -8,8 +8,17 @@ cocycle machinery before any cohomology is trusted).
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import fp
-from .errors import DimensionMismatch, DimTooLarge, EvenDegree, GroupMismatch, MissingCharacter
+from .errors import (
+    DimensionMismatch,
+    DimTooLarge,
+    EvenDegree,
+    GroupCheckFailed,
+    GroupMismatch,
+    MissingCharacter,
+)
 from .groups import FiniteGroup, alternating_group, direct_product, images, symmetric_group
 
 SPIN_DIM_BOUND = 24
@@ -146,23 +155,41 @@ def product_factor_module(groups_modules) -> GModule:
 def is_simple(m: GModule) -> bool:
     """True iff every nonzero vector generates the whole module.
 
-    Exhaustive spin-up over all l^dim - 1 vectors; honest but only feasible
-    at desk scale (the dim bound guards the worst of it).
+    <g c v> = <v> for an invertible generator matrix g and a scalar c != 0,
+    so one spin-up per orbit of <generator matrices, F_l^x> on the nonzero
+    vectors decides it; a singular generator matrix, which does not permute
+    the vectors, raises GroupCheckFailed.  The orbit of a representative v
+    is the union of the orbits of the generator matrices through its
+    multiples c v, each marked by a BFS over the packed vectors sum v_i l^i
+    in a bytearray of l^dim bytes (0 unseen, 1 found, 2 expanded), which is
+    also the BFS frontier; the dim bound guards its size.
     """
     if m.dim > SPIN_DIM_BOUND:
         raise DimTooLarge(f"dim {m.dim} > {SPIN_DIM_BOUND}")
     if m.dim == 0:
         return False
-    l, dim = m.l, m.dim
-    mats = m.generator_matrices
-    for code in range(1, l**dim):
-        v = []
-        c = code
-        for _ in range(dim):
-            v.append(c % l)
-            c //= l
+    l, dim, mats = m.l, m.dim, m.generator_matrices
+    if any(fp.rank(a, l) < dim for a in mats):
+        raise GroupCheckFailed("a singular generator matrix does not permute the vectors")
+    weights = [l**r for r in range(dim)]
+    marks = bytearray(l**dim)
+    marks[0], rep = 2, 1
+    while (rep := marks.find(0, rep)) > 0:
+        v = [rep // w % l for w in weights]
         if not _spins_to_full(v, mats, dim, l):
             return False
+        for c in range(1, l):
+            p = sum(c * x % l * w for x, w in zip(v, weights))
+            if marks[p]:
+                continue
+            while p >= 0:
+                marks[low := p] = 2
+                u = [p // w % l for w in weights]
+                for a in mats:
+                    q = sum(sum(map(mul, row, u)) % l * w for row, w in zip(a, weights))
+                    if not marks[q]:
+                        marks[q], low = 1, min(low, q)
+                p = marks.find(1, low)
     return True
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive: exhaustive enumeration, cofactor
-expansion, per-element cocycle solving.  None of it shares code paths with
-the implementations it checks.
+expansion, per-element cocycle solving.  None of it shares the code path it
+checks; where an oracle reuses a smaller engine helper (one vector's
+spin-up, the chain's sift), its docstring says so.
 """
 
 from __future__ import annotations
@@ -718,3 +719,72 @@ def is_diagonal(zmat):
     return all(
         zmat.data[i][j] == 0 for i in range(zmat.nrows) for j in range(zmat.ncols) if i != j
     )
+
+
+# ---------------------------------------------------------------------------
+# simplicity by exhaustive spin-up, and the stabiliser chain's verifying
+# second pass: the engine's former paths, kept as oracles for the orbit
+# representatives of reps.is_simple and the one-pass chain
+
+
+def exhaustive_is_simple(m):
+    """Every one of the l^dim - 1 nonzero vectors spins up to the module
+    (``reps._spins_to_full``, one vector at a time)."""
+    from kummer.reps import _spins_to_full
+
+    if m.dim == 0:
+        return False
+    l, dim = m.l, m.dim
+    return all(
+        _spins_to_full(list(v), m.generator_matrices, dim, l)
+        for v in product(range(l), repeat=dim)
+        if any(v)
+    )
+
+
+class TwoPassChain:
+    """A stabiliser chain rebuilt from a base and strong generators (element,
+    word, depth): the transversals closed again under S^(i) = every strong
+    generator of depth >= i, then every generator of g and every Schreier
+    generator sifted again through them.  A residue raises; the words the
+    sifts leave are the relators.  It shares ``_close``, ``_schreier`` and
+    ``_sift`` with the engine, not the bookkeeping of marked pairs."""
+
+    def __init__(self, g, base, strong):
+        import math
+
+        from kummer.groups import _ID, _close, _schreier, _table, _unit
+
+        k = self.ngens = len(g.generators)
+        self.levels = [(b, {b: (_ID, _ID, (0,) * k)}) for b in base]
+        tables = [(d, (y, bytes.maketrans(y, _ID), w)) for y, w, d in strong]
+        level_gens = [[s for d, s in tables if d >= i] for i in range(len(base))]
+        for (b, trans), gens in zip(self.levels, level_gens):
+            _close(trans, gens, [b])
+        sift = self._sift_to_one
+        self.relators = {sift(_table(x), _unit(j, k), 0) for j, x in enumerate(g.generators)}
+        for i, (_, trans) in enumerate(self.levels):
+            self.relators.update(
+                sift(h, w, i + 1) for _, h, w in _schreier(trans, level_gens[i], ())
+            )
+        self.order = math.prod(len(trans) for _, trans in self.levels)
+
+    def _sift_to_one(self, x, w, i):
+        from kummer.errors import GroupCheckFailed
+        from kummer.groups import _ID, _sift
+
+        x, w, _ = _sift(self.levels, x, w, i)
+        if x != _ID:
+            raise GroupCheckFailed("an element does not sift through the stabiliser chain")
+        return w
+
+    def word(self, x):
+        from kummer.groups import _table
+
+        return tuple(-a for a in self._sift_to_one(_table(x), (0,) * self.ngens, 0))
+
+    def hom_basis(self, l):
+        from kummer.fp import kernel_basis
+
+        rows = sorted({tuple(a % l for a in r) for r in self.relators})
+        return kernel_basis(rows, self.ngens, l)

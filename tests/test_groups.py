@@ -1,3 +1,5 @@
+from operator import sub
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from kummer.groups import (
     group_order_formula,
     has_index_l_normal_subgroup,
     images,
+    mul,
     permutation,
     semidirect,
     stabiliser_chain,
@@ -22,6 +25,7 @@ from kummer.groups import (
     symplectic_group,
     transvection,
 )
+from kummer.lattice import Lattice
 
 from oracles import DirectElement as ODirect
 from oracles import exponent
@@ -29,6 +33,7 @@ from oracles import FpMat
 from oracles import Perm as OPerm
 from oracles import SemidirectElement as OSemidirect
 from oracles import oracle_bfs
+from oracles import TwoPassChain
 
 
 def standard_action_mats(d):
@@ -177,6 +182,17 @@ def test_more_than_256_points_fails_closed_at_enumerate():
     assert g.degree == 259 and g.known_order == 1536
     with pytest.raises(CapExceeded):
         g.enumerate()
+
+
+def test_stabiliser_chain_takes_256_points_and_refuses_more():
+    # the chain pads every element to 256 points: a 256-cycle fits, and
+    # 2^8 x| S_3 on 259 points is refused before any sift
+    c256 = stabiliser_chain(FiniteGroup([from_cycles(256, [tuple(range(256))])]))
+    assert c256.order == 256 and len(c256.hom_basis(2)) == 1
+    s3 = symmetric_group(3)
+    eye = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
+    with pytest.raises(CapExceeded):
+        stabiliser_chain(semidirect(8, s3, [eye] * len(s3.generators)))
 
 
 # differential checks against the naive element types in tests/oracles.py:
@@ -354,3 +370,43 @@ def test_stabiliser_chain_of_degree_9_without_enumeration(build, order, hom2):
 )
 def test_stabiliser_chain_of_random_generators(imgs):
     _assert_chain_matches_oracles(FiniteGroup([permutation(p) for p in imgs]), (2, 3))
+
+
+# the one-pass chain against the verifying second pass it replaced
+
+
+def _assert_one_pass_matches_two_pass(g):
+    chain = stabiliser_chain(g)
+    oracle = TwoPassChain(g, [b for b, _ in chain.levels], chain.strong)
+    assert chain.order == oracle.order
+    assert chain.hom_basis(2) == oracle.hom_basis(2)
+    assert chain.hom_basis(3) == oracle.hom_basis(3)
+    # the two build their transversals in different orders, so an element's
+    # words may differ, but only by a relation: both relator sets span one
+    # lattice, and the difference of the words lies in it
+    relations = Lattice(chain.ngens, chain.relators)
+    assert relations == Lattice(oracle.ngens, oracle.relators)
+    gens = g.generators
+    elements = [*gens, *(mul(x, y) for x in gens for y in gens), mul(*gens), mul(*gens[::-1])]
+    elements += [y[: g.degree] for y, _, _ in chain.strong]
+    for x in elements:
+        assert relations.contains(list(map(sub, chain.word(x), oracle.word(x))))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [*_chain_oracle_groups(), symmetric_group(9), alternating_group(9)],
+    ids=lambda g: g.name,
+)
+def test_one_pass_chain_matches_the_two_pass_oracle(g):
+    _assert_one_pass_matches_two_pass(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+    )
+)
+def test_one_pass_chain_of_random_generators_matches_the_two_pass_oracle(imgs):
+    _assert_one_pass_matches_two_pass(FiniteGroup([permutation(p) for p in imgs]))

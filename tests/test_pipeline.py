@@ -181,6 +181,38 @@ def test_a_module_that_is_no_homomorphism_fails_stage_3(monkeypatch):
     assert any(entry.name == "_module_stage" for entry in excinfo.traceback)
 
 
+def _on_kind(kind, value, real):
+    """real, but value on a module of S_d (kind "S") or A_d (kind "A")."""
+    return lambda m: value if m.group.name[0] == kind else real(m)
+
+
+# one fault per conjunct of stage 3's acceptance: each check made false on
+# its own, every other one true, withholds the verdict at module_structure.
+# The case has two factors, S_5 and S_3, so the product audit runs, and no
+# torsor, so stage 6 reads no End.  A fixed vector (h0) is
+# test_equivariant_stage's lone-factor test
+STAGE_3_FAULTS = {
+    "simple": ("is_simple", lambda real: _on_kind("S", False, real)),
+    "end-dim": ("endomorphism_algebra_dim", lambda real: _on_kind("S", 2, real)),
+    "alternating-simple": ("is_simple", lambda real: _on_kind("A", False, real)),
+    "alternating-end-dim": ("endomorphism_algebra_dim", lambda real: _on_kind("A", 2, real)),
+    "alternating-index-2": ("has_index_l_normal_subgroup", lambda real: lambda g, l: True),
+    "wedge2-invariants": ("wedge2_dual_invariants_dim", lambda real: lambda m: real(m) + 1),
+    "cross-hom": (
+        "_cross_hom_dims",
+        lambda real: lambda mods, g: {key: 1 for key in list(real(mods, g))[:1]},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", STAGE_3_FAULTS)
+def test_each_stage_3_check_withholds_on_its_own(fault, monkeypatch):
+    name, build = STAGE_3_FAULTS[fault]
+    monkeypatch.setattr(pipeline, name, build(getattr(pipeline, name)))
+    rep = run_case(CaseInput((FactorInput(X5, False), FactorInput(X3, False)), prime_bound=500))
+    assert rep.conclusions["withheld_because"] == ["module_structure"]
+
+
 def test_parse_case_roundtrip():
     obj = {
         "factors": [

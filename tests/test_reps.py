@@ -1,8 +1,21 @@
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer.errors import DimensionMismatch, EvenDegree, GroupMismatch, MissingCharacter
-from kummer.fp import mat_vec
-from kummer.groups import FiniteGroup, from_cycles, images, symmetric_group
+from kummer.fp import mat_vec, rank
+from kummer.groups import (
+    FiniteGroup,
+    affine,
+    alternating_group,
+    from_cycles,
+    images,
+    symmetric_group,
+    symplectic_group,
+)
 from kummer.reps import (
     GModule,
     endomorphism_algebra_dim,
@@ -19,7 +32,7 @@ from kummer.reps import (
     zero_sum_module,
 )
 
-from oracles import invariant_alternating_form, trivial_module
+from oracles import exhaustive_is_simple, invariant_alternating_form, trivial_module
 
 
 def trivial_group():
@@ -152,6 +165,12 @@ def test_spin_dim_bound():
         is_simple(big)
 
 
+def test_spin_dim_bound_admits_its_own_dimension():
+    # dim 24 is the last one allowed: 2^24 bytes of marks, and e_0 of the
+    # trivial module spins up to a line
+    assert is_simple(trivial_module(trivial_group(), 24)) is False
+
+
 def test_h0_values():
     assert h0(standard_module(5, "S")) == 0
     assert h0(permutation_module(symmetric_group(5))) == 1
@@ -227,3 +246,92 @@ def test_module_checks_raise_typed_errors(build, error):
     # typed errors, not asserts, so the checks survive python -O
     with pytest.raises(error):
         build()
+
+
+# ---------------------------------------------------------------------------
+# simplicity by orbit representatives against the exhaustive spin-up
+
+
+def _tautological_sp4_f3():
+    sp = symplectic_group(4, 3)
+    return GModule(sp, 4, 3, tuple(affine(s, sp.blocks[0])[0] for s in sp.generators))
+
+
+def _named_modules():
+    for d in (3, 5, 7, 9):
+        yield from (standard_module(d, kind) for kind in "SA")
+    yield _tautological_sp4_f3()
+    for d in range(2, 7):
+        yield from (permutation_module(symmetric_group(d), l) for l in (2, 3))
+    yield permutation_module(alternating_group(5))
+    yield trivial_module(trivial_group(), 1, 3)
+
+
+@pytest.mark.parametrize(
+    "m", list(_named_modules()), ids=lambda m: f"{m.group.name}-F{m.l}^{m.dim}"
+)
+def test_is_simple_matches_exhaustive_spin_up_on_named_modules(m):
+    assert is_simple(m) == exhaustive_is_simple(m)
+
+
+@st.composite
+def random_modules(draw):
+    """(module, split) over F_2 or F_3, dim <= 5, with 1 to 3 random invertible
+    generator matrices.  With split > 0 every matrix is block upper
+    triangular, so the first split coordinates span a proper submodule."""
+    l = draw(st.sampled_from((2, 3)))
+    dim = draw(st.integers(min_value=1, max_value=5))
+    split = draw(st.integers(min_value=0, max_value=dim - 1))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    mats = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        while True:
+            m = [[rng.randrange(l) for _ in range(dim)] for _ in range(dim)]
+            for r in range(split, dim):
+                m[r][:split] = [0] * split
+            if rank(m, l) == dim:
+                break
+        mats.append(m)
+    group = FiniteGroup([from_cycles(1, [])] * len(mats), name=f"free{len(mats)}")
+    return GModule(group, dim, l, tuple(mats)), split
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_modules())
+def test_is_simple_matches_exhaustive_spin_up_on_random_modules(case):
+    m, split = case
+    assert is_simple(m) == exhaustive_is_simple(m)
+    if split:
+        assert not is_simple(m)
+
+
+def test_is_simple_spins_up_one_vector_per_orbit(monkeypatch):
+    # Sp(4, F_3) is transitive on the 80 nonzero vectors of F_3^4; S_7 has
+    # three orbits on the 63 of its standard module, the even-weight vectors
+    # of F_2^7, one per weight 2, 4 and 6
+    from kummer import reps
+
+    spins = []
+    real = reps._spins_to_full
+
+    def counting(v, mats, dim, l):
+        spins.append(v)
+        return real(v, mats, dim, l)
+
+    monkeypatch.setattr(reps, "_spins_to_full", counting)
+    assert is_simple(_tautological_sp4_f3()) and len(spins) == 1
+    spins.clear()
+    assert is_simple(standard_module(7, "S")) and len(spins) == 3
+
+
+def test_is_simple_marks_cost_one_byte_per_vector():
+    # S_13's standard module has 2^12 vectors: the marks are 4,096 bytes,
+    # where a list of 2^12 entries would take 8 bytes a pointer alone
+    m = standard_module(13, "S")
+    tracemalloc.start()
+    try:
+        assert is_simple(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**12

@@ -38,11 +38,11 @@ from kummer.galois import (
     certify_galois,
 )
 from kummer.gf2 import F2Matrix
-from kummer.groups import FiniteGroup, StabiliserChain, stabiliser_chain, symmetric_group
+from kummer.groups import FiniteGroup, from_cycles, stabiliser_chain, symmetric_group
 from kummer.lattice import Lattice
 from kummer.picard import KummerLatticeModel, numerology, torsor_factor_group
 from kummer.pipeline import CaseInput, FactorInput
-from kummer.reps import GModule, permutation_module, standard_module
+from kummer.reps import GModule, is_simple, permutation_module, standard_module
 from kummer.smith import RowSolver, ZMatrix, bareiss_det
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,12 +100,20 @@ def _torsor_line_off_expected(force_fail=None):
 
 
 def _chain_without_last_strong_generator():
-    # S_5's last base point loses its only strong generator, so a Schreier
-    # generator of the level above it leaves a residue; no order is declared,
-    # so the sift check, not the order check, has to catch it
-    g = FiniteGroup(symmetric_group(5).generators)
-    base, strong = groups._schreier_sims(g)
-    StabiliserChain(g, base, strong[:-1])
+    # S_5's last strong generator (3 4), the only one of its last level, joins
+    # the chain, but no Schreier generator made with it is ever sifted: it is
+    # the last of every level's generators, so dropping it keeps the other
+    # pairs' keys.  No order is declared, so the count of marked pairs, not
+    # the order check, has to catch it
+    last = groups._table(from_cycles(5, [(3, 4)]))
+    real = groups._schreier
+    groups._schreier = lambda trans, gens, done: real(
+        trans, [s for s in gens if s[0] != last], done
+    )
+    try:
+        stabiliser_chain(FiniteGroup(symmetric_group(5).generators))
+    finally:
+        groups._schreier = real
 
 
 def _on_f3_module(call):
@@ -181,6 +189,12 @@ SITES = {
         GroupCheckFailed,
     ),
     "chain-strong-generator-dropped": (_chain_without_last_strong_generator, GroupCheckFailed),
+    # over F_3, (1, 2; 2, 1) sends (1, 1) to 0: it does not permute the vectors,
+    # so an orbit of the generator matrices is no orbit of a group
+    "simplicity-singular-generator-matrix": (
+        lambda: is_simple(GModule(S3, 2, 3, (EYE2, ((1, 2), (2, 1))))),
+        GroupCheckFailed,
+    ),
     "cohomology-f3-h1": (_on_f3_module(h1), DimensionMismatch),
     "cohomology-f3-validate-module": (_on_f3_module(validate_module), DimensionMismatch),
     "cohomology-f3-is-cocycle": (
