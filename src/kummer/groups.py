@@ -108,7 +108,8 @@ class FiniteGroup:
     the identity at index 0, ``edges[i*k + j]`` is the index of
     ``elements[i] * generators[j]``, and ``parents[y]`` is the flat edge index
     that first produced y (tree edge), -1 for the identity.  ``blocks`` lists
-    the (offset, dim, l) vector-space blocks of the points.
+    the (offset, dim, l) vector-space blocks of the points.  ``chain`` is
+    the verified ``stabiliser_chain``, kept once built, like ``elements``.
     """
 
     def __init__(self, generators, cap=DEFAULT_CAP, known_order=None, name="", blocks=()):
@@ -124,6 +125,7 @@ class FiniteGroup:
         self.elements = None
         self.edges = None
         self.parents = None
+        self.chain = None
 
     @property
     def degree(self):
@@ -382,10 +384,13 @@ def _schreier_sims(g: FiniteGroup):
 
 
 def stabiliser_chain(g: FiniteGroup) -> StabiliserChain:
-    """The verified stabiliser chain of g, built on every call."""
-    if g.degree > MAX_POINTS:
-        raise CapExceeded(f"{g.name or 'group'} acts on {g.degree} > {MAX_POINTS} points")
-    return StabiliserChain(g)
+    """The verified stabiliser chain of g, built on the first call and kept
+    on g; a build that raised keeps nothing."""
+    if g.chain is None:
+        if g.degree > MAX_POINTS:
+            raise CapExceeded(f"{g.name or 'group'} acts on {g.degree} > {MAX_POINTS} points")
+        g.chain = StabiliserChain(g)
+    return g.chain
 
 
 def elementary_l_quotient_kernel(g: FiniteGroup, l: int):

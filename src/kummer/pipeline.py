@@ -21,10 +21,10 @@ degree d, S_d or A_d, and whether the 2-covering is a nontrivial torsor.  So
 certificates and the case, and their outcomes are computed once per tuple in
 a process (``_signature_outcomes``).  Within one computation each distinct
 factor module is built and validated once, each distinct P_i once, and the
-lattice model once.  The outcomes are kept as a JSON string, so every call
-decodes fresh detail dicts, and a fill that raised keeps no entry.  Fault
+lattice model once, and a fill that raised keeps no entry.  Fault
 injection, the skips after a failed Galois certification and the strict
-torsor-count rule stay per call.  The bundled audits recompute everything.
+torsor-count rule stay per call.  The bundled audits reuse each group's
+verified stabiliser chain, and recompute the rest.
 
 Stages 1 and 2 read each factor's Galois certificate and discriminant class
 through two more memos, ``_certificate`` keyed by (polynomial, prime bound)
@@ -32,6 +32,14 @@ and ``_disc_class`` keyed by the discriminant, so a process certifies each
 polynomial once per bound and factors each discriminant once.  Their keys
 come from outside input, so each keeps at most MEMO_SIZE entries, the least
 recently used evicted.  Neither keeps a raise, and the audits bypass both.
+
+Each memo keeps its report fragments encoded, as Fragments: the stage
+details and the equivariant audit beside the outcomes, each factor's Galois
+detail beside its certificate, each class entry beside its class, and the
+conclusions and citations in memos of their own.  So a warm report is one
+``report_json`` of the case echo and the hypothesis entries, with each
+Fragment indented into place, and no memo entry holds a dict a caller could
+change.
 """
 
 from __future__ import annotations
@@ -206,14 +214,28 @@ def parse_case(obj) -> CaseInput:
     return CaseInput(tuple(factors), prime_bound, mode)
 
 
+class Fragment(str):
+    """JSON text that ``report_json`` wrote at depth 0, less its last newline.
+    ``_encode`` embeds it at any depth by indenting each of its lines: this is
+    exact because ``_quote`` escapes every control character, so each newline
+    in the text is structural."""
+
+    __slots__ = ()
+
+
+def _fragment(value) -> Fragment:
+    return Fragment(report_json(value)[:-1])
+
+
 def report_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, byte for byte,
     for what a report or an audit record holds: dicts with str keys, lists,
-    tuples, str, int, float, bool and None.  A key that is not a str, a value
-    of any other type (TypeError) and a nan or an infinity (ValueError) raise
-    where json.dumps would coerce them or write something that is not JSON.
-    With an indent, json.dumps runs its general encoder in pure Python; this
-    is only the dict, list and scalar cases a report needs."""
+    tuples, str, int, float, bool and None, with each Fragment written as the
+    value it encodes.  A key that is not a str, a value of any other type
+    (TypeError) and a nan or an infinity (ValueError) raise where json.dumps
+    would coerce them or write something that is not JSON.  With an indent,
+    json.dumps runs its general encoder in pure Python; this is only the
+    dict, list and scalar cases a report needs."""
     out = []
     _encode(value, "\n", out)
     out.append("\n")
@@ -222,7 +244,7 @@ def report_json(value) -> str:
 
 def _encode(value, newline, out):
     if isinstance(value, str):
-        out.append(_quote(value))
+        out.append(value.replace("\n", newline) if type(value) is Fragment else _quote(value))
     elif value is None:
         out.append("null")
     elif value is True:
@@ -264,33 +286,29 @@ def _encode(value, newline, out):
 
 
 class VerdictReport:
-    __slots__ = ("case", "hypotheses", "equivariant_audit", "conclusions", "citations")
+    """A verdict report as the JSON text ``to_json`` returns, and whether it
+    asserts its conclusions.  The dict attributes are a view this report
+    decodes from its own text on first read, so changing one reaches neither
+    the text nor a memo."""
 
-    def __init__(
-        self, case: dict, hypotheses: list, equivariant_audit: dict | None, conclusions: dict,
-        citations: list,
-    ):
-        self.case = case
-        self.hypotheses = hypotheses
-        self.equivariant_audit = equivariant_audit
-        self.conclusions = conclusions
-        self.citations = citations
+    __slots__ = ("_text", "asserted", "_view")
 
-    def to_dict(self):
-        return {
-            "case": self.case,
-            "hypotheses": self.hypotheses,
-            "equivariant_audit": self.equivariant_audit,
-            "conclusions": self.conclusions,
-            "citations": self.citations,
-        }
+    def __init__(self, text: str, asserted: bool):
+        self._text, self.asserted, self._view = text, asserted, None
 
     def to_json(self):
-        return report_json(self.to_dict())
+        return self._text
 
-    @property
-    def asserted(self):
-        return self.conclusions.get("asserted", False)
+    def to_dict(self):
+        if self._view is None:
+            self._view = json.loads(self._text)
+        return self._view
+
+    case = property(lambda self: self.to_dict()["case"])
+    hypotheses = property(lambda self: self.to_dict()["hypotheses"])
+    equivariant_audit = property(lambda self: self.to_dict()["equivariant_audit"])
+    conclusions = property(lambda self: self.to_dict()["conclusions"])
+    citations = property(lambda self: self.to_dict()["citations"])
 
 
 _CONCLUSION_KEYS = ("picard_rank", "br2_algebraic", "br1_equals_br0", "br_bar_2_invariants_zero")
@@ -324,27 +342,29 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
             (cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A", f.torsor_nontrivial)
             for cert, f in zip(certs, case.factors)
         )
-        structure, h1, pi1, pic = json.loads(_signature_outcomes(sigs))
-        outcomes += [structure, h1]
+        stages, audit, lines = _signature_outcomes(sigs)
+        outcomes += stages[:2]
         strict = force_fail is None and all(ok for ok, _ in outcomes)
-        outcomes += [pi1, pic]
-        (_, pi1_details), (_, pic_details) = pi1, pic
-        for line in pic_details.get("factors", ()):
-            hv, expected = line["h1_torsor_group_module"], line["expected"]
+        outcomes += stages[2:]
+        for factor, hv, expected in lines:
             if strict and hv != expected:
                 raise EngineError(
-                    f"H^1(P, V_{line['factor']}) = {hv} but the hypothesis chain "
+                    f"H^1(P, V_{factor}) = {hv} but the hypothesis chain "
                     f"predicts {expected}; refusing to reconcile silently"
                 )
-        if "skipped" not in pi1_details:
-            audit = {**pi1_details, **pic_details}
     hypotheses = [
         _check(name, ok, details, force_fail)
         for name, (ok, details) in zip(HYPOTHESIS_CHECKS, outcomes)
     ]
-    failing = [h["name"] for h in hypotheses if not h["passed"]]
-    citations = sorted(set(CITATIONS.values()))
-    return VerdictReport(_case_echo(case), hypotheses, audit, _conclusions(case, failing), citations)
+    failing = tuple(h["name"] for h in hypotheses if not h["passed"])
+    report = {
+        "case": _case_echo(case),
+        "hypotheses": hypotheses,
+        "equivariant_audit": audit,
+        "conclusions": _conclusions(case.g, len(case.factors), failing),
+        "citations": _citations(),
+    }
+    return VerdictReport(report_json(report), not failing)
 
 
 MEMO_SIZE = 1024
@@ -352,55 +372,54 @@ MEMO_SIZE = 1024
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _certificate(poly, prime_bound):
-    """``certify_galois(poly, prime_bound)``, once per (polynomial, bound) in a
+    """``certify_galois(poly, prime_bound)``, whether stage 1 accepts it, and
+    its stage 1 detail as a Fragment, once per (polynomial, bound) in a
     process.  The bound is part of the key: a larger bound can find witnesses
     a smaller one misses.  A raise (GaloisCheckFailed, Inseparable) is not
     kept.  ``certify_galois`` is looked up at each fill, so a wrapper put on
     the module name sees the fills only."""
-    return certify_galois(poly, prime_bound)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _disc_class(d):
-    """``disc_class(d)``, once per discriminant in a process, so a polynomial
-    and its shift f(x + k) share one factoring.  A raise
-    (FactorBudgetExceeded) is not kept; ``disc_class`` is looked up at each
-    fill, as in ``_certificate``."""
-    return disc_class(d)
-
-
-def _galois_stage(case):
-    """(1) Galois certification: S_d or A_d, and S_3 only at degree 3.
-    Returns (passed, details, certificates)."""
-    certs = [_certificate(f.poly, case.prime_bound) for f in case.factors]
-    details = [
+    cert = certify_galois(poly, prime_bound)
+    accepted = cert.verdict == "SymmetricGroup" or (
+        cert.verdict == "AlternatingGroup" and cert.degree != 3
+    )
+    return cert, accepted, _fragment(
         {
-            "poly": [str(c) for c in f.poly.coefficients],
+            "poly": [str(c) for c in poly.coefficients],
             "degree": cert.degree,
             "verdict": cert.verdict,
             "discriminant": str(cert.discriminant),
             "disc_square": cert.disc_square,
             "witnesses": [[p, list(t), role] for p, t, role in cert.witnesses],
-            "accepted": cert.verdict == "SymmetricGroup"
-            or (cert.verdict == "AlternatingGroup" and cert.degree != 3),
+            "accepted": accepted,
         }
-        for f, cert in zip(case.factors, certs)
-    ]
-    return all(e["accepted"] for e in details), details, certs
+    )
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _disc_class(d):
+    """``disc_class(d)`` and its stage 2 class entry as a Fragment, once per
+    discriminant in a process, so a polynomial and its shift f(x + k) share
+    one factoring.  A raise (FactorBudgetExceeded) is not kept;
+    ``disc_class`` is looked up at each fill, as in ``_certificate``."""
+    c = disc_class(d)
+    return c, _fragment({"support": list(c.squarefree_support), "sign": c.sign})
+
+
+def _galois_stage(case):
+    """(1) Galois certification: S_d or A_d, and S_3 only at degree 3.
+    Returns (passed, details, certificates)."""
+    memo = [_certificate(f.poly, case.prime_bound) for f in case.factors]
+    return all(ok for _, ok, _ in memo), [d for _, _, d in memo], [c for c, _, _ in memo]
 
 
 def _disjointness_stage(case, certs):
     """(2) Linear disjointness of the splitting fields."""
     try:
-        classes = [_disc_class(cert.discriminant) for cert in certs]
-        out = certify_family_disjoint(certs, classes)
+        memo = [_disc_class(cert.discriminant) for cert in certs]
+        out = certify_family_disjoint(certs, [c for c, _ in memo])
     except FactorBudgetExceeded as exc:
         return case.mode == "heuristic", {"verdict": "HeuristicOnly", "reason": str(exc)}
-    details = {
-        "verdict": out.verdict,
-        "reason": out.reason,
-        "classes": [{"support": list(c.squarefree_support), "sign": c.sign} for c in classes],
-    }
+    details = {"verdict": out.verdict, "reason": out.reason, "classes": [e for _, e in memo]}
     heuristic = case.mode == "heuristic" and out.verdict == "HeuristicOnly"
     n = len(case.factors)
     if heuristic and n >= 2:
@@ -415,14 +434,21 @@ def _disjointness_stage(case, certs):
 
 @lru_cache(maxsize=None)
 def _signature_outcomes(sigs):
-    """The (passed, details) pairs of stages 3 to 6 as one JSON string, once
-    per tuple of factor signatures ((degree, "S" or "A", torsor flag), ...)
-    in factor order in a process.  Those stages read nothing of a case but
-    its signatures.  Every call decodes its own dicts from the string, and
-    lru_cache keeps no entry for a fill that raised."""
+    """Stages 3 to 6 once per tuple of factor signatures ((degree, "S" or
+    "A", torsor flag), ...) in factor order in a process: their (passed,
+    details as a Fragment) pairs, the equivariant audit as a Fragment (None
+    when stage 5 is skipped), and stage 6's (factor, H^1, expected) lines for
+    the strict torsor-count rule.  Those stages read nothing of a case but
+    its signatures, and lru_cache keeps no entry for a fill that raised."""
     structure_ok, structure_details, modules = _module_stage(sigs)
     outcomes = [(structure_ok, structure_details), _h1_stage(modules)]
-    return json.dumps(outcomes + list(_equivariant_stage(sigs, modules)))
+    outcomes += _equivariant_stage(sigs, modules)
+    (_, pi1), (_, pic) = outcomes[2:]
+    audit = None if "skipped" in pi1 else _fragment({**pi1, **pic})
+    lines = tuple(
+        (x["factor"], x["h1_torsor_group_module"], x["expected"]) for x in pic.get("factors", ())
+    )
+    return tuple((ok, _fragment(details)) for ok, details in outcomes), audit, lines
 
 
 def _module_stage(sigs):
@@ -577,14 +603,16 @@ def _equivariant_stage(sigs, modules):
     return (pi1_ok, pi1_details), (pic_ok, pic_details)
 
 
-def _conclusions(case, failing):
-    """The four conclusions, asserted only when no check failed, plus the
-    cited odd-part note."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _conclusions(g, n, failing):
+    """The four conclusions as a Fragment, asserted only when no check
+    failed, plus the cited odd-part note, once per (g, number of factors,
+    failing checks) in a process."""
     asserted = not failing
     values = dict.fromkeys(_CONCLUSION_KEYS, True if asserted else None)
     if asserted:
-        values["picard_rank"] = numerology(case.g, len(case.factors))["picard_rank"]
-    conclusions = {"asserted": asserted, "withheld_because": failing or None}
+        values["picard_rank"] = numerology(g, n)["picard_rank"]
+    conclusions = {"asserted": asserted, "withheld_because": list(failing) or None}
     for key in _CONCLUSION_KEYS:
         conclusions[key] = {
             "value": values[key],
@@ -596,7 +624,12 @@ def _conclusions(case, failing):
         "source": "CITED(odd-order-unobstructed)",
         "citation": CITATIONS["odd_part_unobstructed_note"],
     }
-    return conclusions
+    return _fragment(conclusions)
+
+
+@lru_cache(maxsize=None)
+def _citations():
+    return _fragment(sorted(set(CITATIONS.values())))
 
 
 def _case_echo(case):

@@ -15,6 +15,8 @@ def clear_pipeline_memo():
     pipeline._signature_outcomes.cache_clear()
     pipeline._certificate.cache_clear()
     pipeline._disc_class.cache_clear()
+    pipeline._conclusions.cache_clear()
+    pipeline._citations.cache_clear()
 
 
 @pytest.fixture(autouse=True)

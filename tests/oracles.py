@@ -788,3 +788,115 @@ class TwoPassChain:
 
         rows = sorted({tuple(a % l for a in r) for r in self.relators})
         return kernel_basis(rows, self.ngens, l)
+
+
+# ---------------------------------------------------------------------------
+# the verdict report as one plain dict: the engine's former run_case, which
+# built every report from fresh dicts, kept as the oracle for the reports the
+# pipeline now assembles from memoized fragments
+
+
+def unmemoized_report(case, force_fail=None):
+    """The report dict of ``run_case(case, force_fail)``, from the stage
+    functions called directly: ``certify_galois``, ``disc_class``,
+    ``certify_family_disjoint`` and the fill's ``_module_stage``,
+    ``_h1_stage`` and ``_equivariant_stage``, with none of the pipeline's
+    memos and no Fragment.  The strict torsor-count rule is left out: no
+    input it is run on breaks it."""
+    from kummer.disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
+    from kummer.errors import FactorBudgetExceeded
+    from kummer.galois import certify_galois
+    from kummer.picard import numerology
+    from kummer.pipeline import CITATIONS, HYPOTHESIS_CHECKS, _equivariant_stage, _h1_stage
+    from kummer.pipeline import _module_stage
+
+    certs = [certify_galois(f.poly, case.prime_bound) for f in case.factors]
+    galois = [
+        {
+            "poly": [str(c) for c in f.poly.coefficients],
+            "degree": cert.degree,
+            "verdict": cert.verdict,
+            "discriminant": str(cert.discriminant),
+            "disc_square": cert.disc_square,
+            "witnesses": [[p, list(t), role] for p, t, role in cert.witnesses],
+            "accepted": cert.verdict == "SymmetricGroup"
+            or (cert.verdict == "AlternatingGroup" and cert.degree != 3),
+        }
+        for f, cert in zip(case.factors, certs)
+    ]
+    outcomes = [(all(e["accepted"] for e in galois), galois)]
+    audit = None
+    if not outcomes[0][0]:
+        skip = {"skipped": "galois certification failed"}
+        outcomes += [(False, skip), (False, [skip]), (False, [skip]), (False, skip), (False, skip)]
+    else:
+        try:
+            classes = [disc_class(cert.discriminant) for cert in certs]
+            out = certify_family_disjoint(certs, classes)
+        except FactorBudgetExceeded as exc:
+            disjoint = case.mode == "heuristic", {"verdict": "HeuristicOnly", "reason": str(exc)}
+        else:
+            details = {
+                "verdict": out.verdict,
+                "reason": out.reason,
+                "classes": [{"support": list(c.squarefree_support), "sign": c.sign} for c in classes],
+            }
+            heuristic = case.mode == "heuristic" and out.verdict == "HeuristicOnly"
+            polys = [f.poly for f in case.factors]
+            if heuristic and len(polys) >= 2:
+                details["frobenius_scores"] = {
+                    f"{i},{j}": frobenius_joint_statistics(polys[i], polys[j], case.prime_bound)
+                    for i in range(len(polys))
+                    for j in range(i + 1, len(polys))
+                }
+            disjoint = out.verdict == "Certified" or heuristic, details
+        sigs = tuple(
+            (cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A", f.torsor_nontrivial)
+            for cert, f in zip(certs, case.factors)
+        )
+        structure_ok, structure, modules = _module_stage(sigs)
+        pi1, pic = _equivariant_stage(sigs, modules)
+        outcomes += [disjoint, (structure_ok, structure), _h1_stage(modules), pi1, pic]
+        if "skipped" not in pi1[1]:
+            audit = {**pi1[1], **pic[1]}
+    hypotheses = []
+    for name, (ok, details) in zip(HYPOTHESIS_CHECKS, outcomes):
+        entry = {"name": name, "passed": bool(ok), "details": details}
+        if force_fail == name:
+            entry["passed"] = False
+            entry["fault_injected"] = True
+        hypotheses.append(entry)
+    failing = [h["name"] for h in hypotheses if not h["passed"]]
+    asserted = not failing
+    conclusions = {"asserted": asserted, "withheld_because": failing or None}
+    for key in ("picard_rank", "br2_algebraic", "br1_equals_br0", "br_bar_2_invariants_zero"):
+        value = True if asserted else None
+        if asserted and key == "picard_rank":
+            value = numerology(case.g, len(certs))["picard_rank"]
+        conclusions[key] = {
+            "value": value,
+            "source": "COMPUTED" if asserted else "WITHHELD",
+            "citation": CITATIONS[key],
+        }
+    conclusions["odd_part_unobstructed_note"] = {
+        "value": CITATIONS["odd_part_unobstructed_note"],
+        "source": "CITED(odd-order-unobstructed)",
+        "citation": CITATIONS["odd_part_unobstructed_note"],
+    }
+    echo = [
+        {"poly": [str(c) for c in f.poly.coefficients], "torsor_nontrivial": f.torsor_nontrivial}
+        for f in case.factors
+    ]
+    return {
+        "case": {
+            "factors": echo,
+            "prime_bound": case.prime_bound,
+            "mode": case.mode,
+            "g": case.g,
+            "n": len(case.factors),
+        },
+        "hypotheses": hypotheses,
+        "equivariant_audit": audit,
+        "conclusions": conclusions,
+        "citations": sorted(set(CITATIONS.values())),
+    }

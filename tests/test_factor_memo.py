@@ -305,3 +305,60 @@ def test_a_factoring_budget_raise_reaches_run_case(mode, passed, monkeypatch):
     fills = record_calls(monkeypatch, pipeline, "disc_class")
     assert digest(run_case(case)) == expected
     assert len(fills) == len(factors)
+
+
+# ---------------------------------------------------------------------------
+# a warm report is assembled from memoized fragments, not encoded again
+
+FRAGMENT_MEMOS = ("_certificate", "_disc_class", "_signature_outcomes", "_conclusions", "_citations")
+
+
+def _containers(value):
+    """Every dict and list in value, through tuples too."""
+    found = [value] if isinstance(value, (dict, list)) else []
+    items = value.values() if isinstance(value, dict) else value
+    if isinstance(value, (dict, list, tuple)):
+        for item in items:
+            found += _containers(item)
+    return found
+
+
+def test_a_warm_report_fills_no_memo_decodes_nothing_and_encodes_no_memo_value(monkeypatch):
+    a, b = IntPolynomial(POLYS[5, "S"][0]), X5_PLUS
+    first = CaseInput((FactorInput(a, True), FactorInput(b, True)), prime_bound=500)
+    # the same polynomials and signature tuple, in the other order
+    swapped = CaseInput((FactorInput(b, True), FactorInput(a, True)), prime_bound=500)
+    run_case(first)
+    memos = {name: getattr(pipeline, name) for name in FRAGMENT_MEMOS}
+    misses = {name: memo.cache_info().misses for name, memo in memos.items()}
+    returned = []
+
+    def recording(memo):
+        def call(*args):
+            value = memo(*args)
+            returned.extend(_containers(value))
+            return value
+
+        return call
+
+    for name, memo in memos.items():
+        monkeypatch.setattr(pipeline, name, recording(memo))
+    encoded = record_calls(monkeypatch, pipeline, "report_json")
+    fills = {
+        name: record_calls(monkeypatch, pipeline, name)
+        for name in ("certify_galois", "disc_class", "_module_stage", "_fragment", "numerology")
+    }
+    loads = record_calls(monkeypatch, pipeline.json, "loads")
+    reports = [run_case(first), run_case(swapped)]
+    assert {name: memo.cache_info().misses for name, memo in memos.items()} == misses
+    assert all(calls == [] for calls in fills.values()), fills
+    assert loads == []
+    # one encoding per report, of dicts and lists built in this call: no
+    # memo entry holds one
+    assert returned == [] and len(encoded) == 2
+    monkeypatch.undo()
+    cold = []
+    for case in (first, swapped):
+        clear_pipeline_memo()
+        cold.append(run_case(case).to_json())
+    assert [report.to_json() for report in reports] == cold

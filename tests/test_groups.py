@@ -1,3 +1,4 @@
+import re
 from operator import sub
 
 import pytest
@@ -25,7 +26,9 @@ from kummer.groups import (
     symplectic_group,
     transvection,
 )
+from kummer import groups
 from kummer.lattice import Lattice
+from kummer.pipeline import audit_example_1_odd, audit_example_2_goursat
 
 from oracles import DirectElement as ODirect
 from oracles import exponent
@@ -410,3 +413,37 @@ def test_one_pass_chain_matches_the_two_pass_oracle(g):
 )
 def test_one_pass_chain_of_random_generators_matches_the_two_pass_oracle(imgs):
     _assert_one_pass_matches_two_pass(FiniteGroup([permutation(p) for p in imgs]))
+
+
+def test_a_group_keeps_its_verified_chain(monkeypatch):
+    builds = []
+    real = groups._schreier_sims
+    monkeypatch.setattr(groups, "_schreier_sims", lambda g: builds.append(g) or real(g))
+    g = FiniteGroup(symmetric_group(5).generators)
+    chain = stabiliser_chain(g)
+    assert stabiliser_chain(g) is chain is g.chain and builds == [g]
+    # a fresh group on the same generators builds its own
+    assert stabiliser_chain(FiniteGroup(g.generators)) is not chain and len(builds) == 2
+    # the audits' groups are cached, so a second audit builds no chain
+    audit_example_1_odd(3)
+    audit_example_2_goursat()
+    builds.clear()
+    audit_example_1_odd(3)
+    audit_example_2_goursat()
+    assert builds == []
+
+
+def test_a_chain_that_raised_is_not_kept():
+    g = FiniteGroup(symmetric_group(4).generators, known_order=12)
+    for _ in range(2):
+        with pytest.raises(GroupCheckFailed):
+            stabiliser_chain(g)
+        assert g.chain is None
+    s3 = symmetric_group(3)
+    eye = [[int(i == j) for j in range(8)] for i in range(8)]
+    big = semidirect(8, s3, [eye] * len(s3.generators))
+    for name, label in (("", "group"), ("V x| S_3", "V x| S_3")):
+        big.name = name
+        with pytest.raises(CapExceeded, match=f"^{re.escape(label)} acts on 259 > 256 points$"):
+            stabiliser_chain(big)
+        assert big.chain is None

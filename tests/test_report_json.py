@@ -9,9 +9,13 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import unmemoized_report
 from test_report_digests import INPUTS
 
+from conftest import clear_pipeline_memo
 from kummer.pipeline import (
+    Fragment,
+    _fragment,
     audit_example_1_odd,
     audit_example_2_goursat,
     audit_example_3_desk,
@@ -87,3 +91,85 @@ def test_audit_records_match_json_dumps(name, audit):
 def test_refuses_what_json_dumps_would_coerce(value, error):
     with pytest.raises(error):
         report_json(value)
+
+
+# ---------------------------------------------------------------------------
+# fragments: a value encoded once at depth 0 and embedded at any depth
+
+
+TRICKY = st.sampled_from(
+    ["a\nb", "\n", " ", "  \n  ", "caf\u00e9", "\u4e2d\n\u00e9", "\u2028", "\t\r"]
+)
+EMBEDDED = st.recursive(
+    SCALARS | TRICKY,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | TRICKY, inner, max_size=4),
+    max_leaves=20,
+)
+# each wrapper puts the value under a key of a dict, or at a position of a
+# list, next to other values
+WRAPPERS = st.lists(
+    st.tuples(
+        st.just("dict"),
+        st.text(max_size=6) | TRICKY,
+        st.dictionaries(st.text(max_size=6), VALUES, max_size=3),
+    )
+    | st.tuples(st.just("list"), st.integers(0, 3), st.lists(VALUES, max_size=3)),
+    max_size=5,
+)
+
+
+def wrap(value, wrappers):
+    for kind, at, others in wrappers:
+        value = {**others, at: value} if kind == "dict" else [*others[:at], value, *others[at:]]
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(EMBEDDED, WRAPPERS, WRAPPERS)
+def test_a_fragment_embeds_at_any_depth(value, outer, inner):
+    fragment = _fragment(value)
+    assert type(fragment) is Fragment and fragment + "\n" == oracle(value)
+    assert report_json(wrap(fragment, outer)) == oracle(wrap(value, outer))
+    # a fragment inside a fragment, as the stage details sit in the audit
+    nested = _fragment(wrap(fragment, inner))
+    assert report_json(wrap(nested, outer)) == oracle(wrap(wrap(value, inner), outer))
+
+
+REFUSED = [
+    ({1: "a"}, TypeError),
+    ({True: "a"}, TypeError),
+    ({None: 0}, TypeError),
+    ({("a",): 0}, TypeError),
+    ({"a": {2.5: 0}}, TypeError),
+    ([{1, 2}], TypeError),
+    ({"a": b"bytes"}, TypeError),
+    ([object()], TypeError),
+    ({"a": [math.nan]}, ValueError),
+    (math.inf, ValueError),
+    (-math.inf, ValueError),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REFUSED), WRAPPERS)
+def test_refusals_hold_at_any_depth_and_in_a_fragment(refused, wrappers):
+    value, error = refused
+    with pytest.raises(error):
+        report_json(wrap(value, wrappers))
+    with pytest.raises(error):
+        _fragment(wrap(value, wrappers))
+
+
+def test_assembled_reports_match_the_unmemoized_report():
+    # stands in for test_pinned_reports_match_json_dumps, whose dict is now
+    # decoded from the report's own text: the oracle's dict is built from
+    # the stage functions with no memo.  Cold (memos cleared before each
+    # input), then warm in one process, forward and then reversed
+    expected = {key: report_json(unmemoized_report(case, fault)) for key, case, fault in INPUTS}
+    for key, case, fault in INPUTS:
+        clear_pipeline_memo()
+        assert run_case(case, force_fail=fault).to_json() == expected[key], key
+    clear_pipeline_memo()
+    for key, case, fault in INPUTS + INPUTS[::-1]:
+        assert run_case(case, force_fail=fault).to_json() == expected[key], key

@@ -49,3 +49,27 @@ def test_no_engine_function_imports_in_its_body():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_cli_import_encodes_no_fragment():
+    # the report memos fill on the first call, so none of their encoding
+    # shows in the start-up time
+    script = (
+        "import sys\n"
+        "calls = set()\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and calls.add(frame.f_code.co_name))\n"
+        "import kummer.cli\n"
+        "sys.setprofile(None)\n"
+        "from kummer import pipeline\n"
+        "memos = ('_certificate', '_disc_class', '_signature_outcomes', '_conclusions', '_citations')\n"
+        "print(*sorted(calls & {'report_json', '_encode', '_fragment'}))\n"
+        "print(sum(getattr(pipeline, name).cache_info().currsize for name in memos))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["", "0"]
