@@ -5,38 +5,3 @@ group engine), reps + cohomology (G-modules and H^0/H^1), galois (certified
 Galois groups), disjoint (splitting-field disjointness), picard (the
 exceptional-class lattice filtration), pipeline + cli (verdicts).
 """
-
-from .errors import EngineError
-from .galois import IntPolynomial, certify_galois, cycle_type_mod_p, disc_is_square, discriminant
-from .gf2 import F2Matrix, f2_rank_kernel
-from .groups import FiniteGroup, group_order_formula, has_index_l_normal_subgroup, semidirect
-from .lattice import Lattice, lattice_index, saturate
-from .pipeline import CaseInput, FactorInput, parse_case, run_case
-from .reps import GModule, standard_module
-from .smith import ZMatrix, smith_normal_form
-
-__all__ = [
-    "CaseInput",
-    "EngineError",
-    "F2Matrix",
-    "FactorInput",
-    "FiniteGroup",
-    "GModule",
-    "IntPolynomial",
-    "Lattice",
-    "ZMatrix",
-    "certify_galois",
-    "cycle_type_mod_p",
-    "disc_is_square",
-    "discriminant",
-    "f2_rank_kernel",
-    "group_order_formula",
-    "has_index_l_normal_subgroup",
-    "lattice_index",
-    "parse_case",
-    "run_case",
-    "saturate",
-    "semidirect",
-    "smith_normal_form",
-    "standard_module",
-]

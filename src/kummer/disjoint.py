@@ -14,6 +14,7 @@ from .errors import FactorBudgetExceeded, InputError, InputMismatch, ZeroInput
 from .frozen import Frozen
 from .galois import (
     RAMIFIED,
+    RHO_BUDGET,
     IntPolynomial,
     discriminant,
     frobenius_scan,
@@ -22,6 +23,8 @@ from .galois import (
     primes_up_to,
 )
 from .gf2 import F2Matrix
+
+TRIAL_BOUND = 100_000
 
 
 class DiscClass(Frozen):
@@ -38,11 +41,12 @@ class DiscClass(Frozen):
         object.__setattr__(self, "sign", sign)
 
 
-def squarefree_kernel(n: int, trial_bound: int = 100_000, rho_budget: int = 400_000):
+def squarefree_kernel(n: int):
     """Prime support of the squarefree part of n (n != 0), plus the sign.
 
-    Trial division up to trial_bound, then Pollard-rho passes within budget;
-    raises FactorBudgetExceeded when a composite cofactor refuses to split.
+    Trial division up to TRIAL_BOUND, then Pollard-rho passes of RHO_BUDGET
+    steps each; raises FactorBudgetExceeded when a composite cofactor refuses
+    to split.
     """
     if n == 0:
         raise ZeroInput("the squarefree kernel of 0 is undefined")
@@ -56,7 +60,7 @@ def squarefree_kernel(n: int, trial_bound: int = 100_000, rho_budget: int = 400_
         else:
             support.add(p)
 
-    for p in primes_up_to(min(trial_bound, max(2, n))):
+    for p in primes_up_to(min(TRIAL_BOUND, max(2, n))):
         if p * p > n:
             break
         while n % p == 0:
@@ -70,7 +74,7 @@ def squarefree_kernel(n: int, trial_bound: int = 100_000, rho_budget: int = 400_
         if is_probable_prime(m):
             toggle(m)
             continue
-        d = pollard_rho(m, rho_budget)
+        d = pollard_rho(m)
         if d is None:
             raise FactorBudgetExceeded(f"cannot split cofactor {m}")
         stack.append(d)
@@ -89,12 +93,11 @@ def disc_class(d: int) -> DiscClass:
 class DisjointnessCertificate(Frozen):
     """verdict is "Certified", "HeuristicOnly" or "Failed"."""
 
-    __slots__ = ("verdict", "reason", "disc_independence_matrix")
+    __slots__ = ("verdict", "reason")
 
-    def __init__(self, verdict, reason, disc_independence_matrix: F2Matrix):
+    def __init__(self, verdict, reason):
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "disc_independence_matrix", disc_independence_matrix)
 
 
 def certify_family_disjoint(certs, classes) -> DisjointnessCertificate:
@@ -139,23 +142,18 @@ def certify_family_disjoint(certs, classes) -> DisjointnessCertificate:
         for p in cl.squarefree_support:
             r |= 1 << col[p]
         rows.append(r)
-    matrix = F2Matrix(len(rows), len(all_primes) + 1, rows)
-    independent = matrix.rank() == len(rows)
-
-    if not independent:
+    if F2Matrix(len(rows), len(all_primes) + 1, rows).rank() < len(rows):
         return DisjointnessCertificate(
             "Failed",
             "discriminant classes of the symmetric-type factors are F_2-dependent",
-            matrix,
         )
     if heuristic_pairs:
         return DisjointnessCertificate(
             "HeuristicOnly",
             f"alternating factors of equal degree at positions {heuristic_pairs}; "
             "field equality is not decided exactly",
-            matrix,
         )
-    return DisjointnessCertificate("Certified", "all pairwise rules discharged", matrix)
+    return DisjointnessCertificate("Certified", "all pairwise rules discharged")
 
 
 def frobenius_joint_statistics(

@@ -1,10 +1,10 @@
 """Dense linear algebra over F_p for small primes p (lists of ints mod p).
 
-Any prime, 2 included: the module checks of reps (spin-up, End, Hom,
-wedge^2 invariants, H^0) run here at l = 2 on every standard module, and
-the stabiliser chain's Hom(G, F_l) runs here at l = 2 and 3.  Widths stay
-tiny.  The wide F_2 work (the H^1 harvest, the lattice layer) goes through
-the packed-int kernel in gf2.
+Any prime, 2 included: the module checks of reps (the spin-ups, and the
+one Hom system behind End, H^0 and the wedge^2 invariants) run here at
+l = 2 on every standard module, and the stabiliser chain's Hom(G, F_l)
+runs here at l = 2 and 3.  Widths stay tiny.  The wide F_2 work (the H^1
+harvest, the lattice layer) goes through the packed-int kernel in gf2.
 """
 
 from __future__ import annotations

@@ -588,6 +588,7 @@ def certify_galois(f: IntPolynomial, prime_bound: int = 1000) -> GaloisCertifica
 # integer factorisation helpers (for discriminant classes)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+RHO_BUDGET = 400_000
 
 
 def is_probable_prime(n: int) -> bool:
@@ -615,16 +616,17 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def pollard_rho(n: int, max_steps: int = 200_000):
+def pollard_rho(n: int):
     """Floyd cycle-finding on x -> x^2 + c mod n (x one step, y two steps a
-    round, from x = y = 2) for c = 1, 3, 5, 7, 11 in turn; None when unlucky."""
+    round, from x = y = 2) for c = 1, 3, 5, 7, 11 in turn, RHO_BUDGET rounds
+    each; None when unlucky."""
     if n % 2 == 0:
         return 2
     for c in (1, 3, 5, 7, 11):
         x = y = 2
         d = 1
         steps = 0
-        while d == 1 and steps < max_steps:
+        while d == 1 and steps < RHO_BUDGET:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n

@@ -112,13 +112,12 @@ class FiniteGroup:
     the verified ``stabiliser_chain``, kept once built, like ``elements``.
     """
 
-    def __init__(self, generators, cap=DEFAULT_CAP, known_order=None, name="", blocks=()):
+    def __init__(self, generators, known_order=None, name="", blocks=()):
         self.generators = list(generators)
         if not self.generators:
             raise GroupCheckFailed("a group needs at least one generator")
         if len({len(s) for s in self.generators}) != 1:
             raise GroupCheckFailed("generators act on different point sets")
-        self.cap = cap
         self.known_order = known_order
         self.name = name
         self.blocks = tuple(blocks)
@@ -139,8 +138,8 @@ class FiniteGroup:
         if self.elements is not None:
             return self
         label = self.name or "group"
-        if self.known_order is not None and self.known_order > self.cap:
-            raise CapExceeded(f"{label} has order {self.known_order} > cap {self.cap}")
+        if self.known_order is not None and self.known_order > DEFAULT_CAP:
+            raise CapExceeded(f"{label} has order {self.known_order} > cap {DEFAULT_CAP}")
         if self.degree > MAX_POINTS:
             raise CapExceeded(f"{label} acts on {self.degree} > {MAX_POINTS} points")
         tables = [_table(s) for s in self.generators]
@@ -158,8 +157,8 @@ class FiniteGroup:
                 yi = index.get(y)
                 if yi is None:
                     yi = len(elements)
-                    if yi >= self.cap:
-                        raise CapExceeded(f"enumeration of {label} passed cap {self.cap}")
+                    if yi >= DEFAULT_CAP:
+                        raise CapExceeded(f"enumeration of {label} passed cap {DEFAULT_CAP}")
                     index[y] = yi
                     elements.append(y)
                     parents.append(i * k + j)
@@ -236,7 +235,7 @@ class FiniteGroup:
             for u in tables:
                 y = x.translate(u)
                 if y not in els:
-                    if len(els) >= self.cap:
+                    if len(els) >= DEFAULT_CAP:
                         raise CapExceeded("closure passed cap")
                     els.add(y)
                     order_list.append(y)
@@ -446,7 +445,7 @@ def affine_extension(g: FiniteGroup, dim: int, gens, known_order, name) -> Finit
         permutation([gf2.matvec(rows, w) ^ v for w in range(n)] + [n + y for y in images(s)])
         for v, s, rows in gens
     ]
-    return FiniteGroup(els, cap=g.cap, known_order=known_order, name=name, blocks=[(0, dim, 2)])
+    return FiniteGroup(els, known_order=known_order, name=name, blocks=[(0, dim, 2)])
 
 
 def _action_rows(v_dim, g, action):
@@ -498,9 +497,8 @@ def direct_product(*groups) -> FiniteGroup:
         order = 1
         for g in groups:
             order *= g.known_order if g.known_order else len(g.elements)
-    cap = max(g.cap for g in groups)
     name = " x ".join(g.name or "G" for g in groups)
-    return FiniteGroup(gens, cap=cap, known_order=order, name=name, blocks=blocks)
+    return FiniteGroup(gens, known_order=order, name=name, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

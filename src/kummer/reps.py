@@ -1,5 +1,6 @@
-"""G-modules over small prime fields: construction, simplicity, Hom spaces,
-and invariants of twisted wedge-square duals.
+"""G-modules over small prime fields: construction, simplicity and Hom
+spaces.  ``hom_module_dim`` solves the one linear system F a = b F; End,
+H^0 and the invariants of twisted wedge-square duals are Hom dimensions.
 
 Vectors are columns; a generator matrix M sends v to M v, and the assignment
 extends to a homomorphism (checked on relation-closing Cayley edges by the
@@ -210,18 +211,7 @@ def _spins_to_full(v, mats, dim, l):
 
 def endomorphism_algebra_dim(m: GModule) -> int:
     """Dimension over F_l of {E : E rho(s) = rho(s) E for all generators}."""
-    dim, l = m.dim, m.l
-    rows = []
-    for a in m.generator_matrices:
-        # unknown E (dim x dim), flattened row-major: E a - a E = 0
-        for i in range(dim):
-            for j in range(dim):
-                row = [0] * (dim * dim)
-                for k in range(dim):
-                    row[i * dim + k] = (row[i * dim + k] + a[k][j]) % l
-                    row[k * dim + j] = (row[k * dim + j] - a[i][k]) % l
-                rows.append(row)
-    return dim * dim - fp.rank(rows, l) if rows else dim * dim
+    return hom_module_dim(m, m)
 
 
 def is_absolutely_simple(m: GModule) -> bool:
@@ -281,26 +271,20 @@ def wedge2_dual_invariants_dim(m: GModule) -> int:
         raise MissingCharacter("module carries no character for the twist")
     if m.dim <= 1:
         return 0
-    l = m.l
     pairs, wedge = wedge_square_matrices(m)
-    nw = len(pairs)
-    rows = []
-    for chi_s, w in zip(m.character, wedge):
-        # invariant functional f: f(W x) = chi f(x)  <=>  (W^T - chi I) f = 0
-        for i in range(nw):
-            row = [(w[k][i] - (chi_s if k == i else 0)) % l for k in range(nw)]
-            rows.append(row)
-    return nw - fp.rank(rows, l) if rows else nw
+    return hom_module_dim(
+        GModule(m.group, len(pairs), m.l, wedge), _line(m.group, m.l, m.character)
+    )
 
 
 def h0(m: GModule) -> int:
     """Dimension of the simultaneous fixed space of the generator matrices."""
-    dim, l = m.dim, m.l
-    rows = []
-    for a in m.generator_matrices:
-        for i in range(dim):
-            rows.append([(a[i][j] - (1 if i == j else 0)) % l for j in range(dim)])
-    return dim - fp.rank(rows, l) if rows else dim
+    return hom_module_dim(_line(m.group, m.l, [1] * len(m.generator_matrices)), m)
+
+
+def _line(group: FiniteGroup, l: int, values) -> GModule:
+    """F_l with generator s acting as the scalar values[s]."""
+    return GModule(group, 1, l, tuple(((c,),) for c in values))
 
 
 def with_character(m: GModule, character) -> GModule:

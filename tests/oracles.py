@@ -791,6 +791,116 @@ class TwoPassChain:
 
 
 # ---------------------------------------------------------------------------
+# Hom dimensions: the engine's former row builders for End, H^0 and the
+# wedge-square invariants, each its own linear system, kept as oracles for
+# reps.hom_module_dim's one system, and a count of every candidate map
+
+
+def end_dim_by_rows(m):
+    """Dimension over F_l of {E : E rho(s) = rho(s) E for all generators}."""
+    from kummer import fp
+
+    dim, l = m.dim, m.l
+    rows = []
+    for a in m.generator_matrices:
+        # unknown E (dim x dim), flattened row-major: E a - a E = 0
+        for i in range(dim):
+            for j in range(dim):
+                row = [0] * (dim * dim)
+                for k in range(dim):
+                    row[i * dim + k] = (row[i * dim + k] + a[k][j]) % l
+                    row[k * dim + j] = (row[k * dim + j] - a[i][k]) % l
+                rows.append(row)
+    return dim * dim - fp.rank(rows, l) if rows else dim * dim
+
+
+def wedge2_invariants_by_rows(m):
+    """dim of G-invariants of Hom(wedge^2 m, chi) for the stored character chi."""
+    from kummer import fp
+    from kummer.errors import MissingCharacter
+    from kummer.reps import wedge_square_matrices
+
+    if m.character is None:
+        raise MissingCharacter("module carries no character for the twist")
+    if m.dim <= 1:
+        return 0
+    l = m.l
+    pairs, wedge = wedge_square_matrices(m)
+    nw = len(pairs)
+    rows = []
+    for chi_s, w in zip(m.character, wedge):
+        # invariant functional f: f(W x) = chi f(x)  <=>  (W^T - chi I) f = 0
+        for i in range(nw):
+            row = [(w[k][i] - (chi_s if k == i else 0)) % l for k in range(nw)]
+            rows.append(row)
+    return nw - fp.rank(rows, l) if rows else nw
+
+
+def h0_by_rows(m):
+    """Dimension of the simultaneous fixed space of the generator matrices."""
+    from kummer import fp
+
+    dim, l = m.dim, m.l
+    rows = []
+    for a in m.generator_matrices:
+        for i in range(dim):
+            rows.append([(a[i][j] - (1 if i == j else 0)) % l for j in range(dim)])
+    return dim - fp.rank(rows, l) if rows else dim
+
+
+def _count_to_dim(count, l):
+    k = 0
+    while l**k < count:
+        k += 1
+    if l**k != count:
+        raise ValueError(f"{count} solutions is no power of {l}")
+    return k
+
+
+def brute_force_hom_dim(m, n):
+    """log_l of the number of F in F_l^{dn x dm} with F a = b F for each pair
+    (a, b) of generator matrices, by trying every F."""
+    l, dm, dn = m.l, m.dim, n.dim
+    count = 0
+    for entries in product(range(l), repeat=dn * dm):
+        f = [entries[i * dm : (i + 1) * dm] for i in range(dn)]
+        count += all(
+            all(
+                sum(f[i][k] * a[k][j] for k in range(dm)) % l
+                == sum(b[i][k] * f[k][j] for k in range(dn)) % l
+                for i in range(dn)
+                for j in range(dm)
+            )
+            for a, b in zip(m.generator_matrices, n.generator_matrices)
+        )
+    return _count_to_dim(count, l)
+
+
+def brute_force_wedge2_invariants_dim(m):
+    """log_l of the number of alternating forms B on F_l^dim with
+    B(a x, a y) = chi(s) B(x, y) for each generator matrix a of s, by trying
+    every B: a form is a functional on wedge^2, so this counts
+    Hom(wedge^2 m, chi) without the wedge-square matrices."""
+    l, dim = m.l, m.dim
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    count = 0
+    for entries in product(range(l), repeat=len(pairs)):
+        b = [[0] * dim for _ in range(dim)]
+        for (i, j), x in zip(pairs, entries):
+            b[i][j], b[j][i] = x, -x % l
+        count += all(
+            all(
+                sum(a[k][i] * b[k][t] * a[t][j] for k in range(dim) for t in range(dim)) % l
+                == chi * b[i][j] % l
+                for i in range(dim)
+                for j in range(dim)
+            )
+            for a, chi in zip(m.generator_matrices, m.character)
+        )
+    return _count_to_dim(count, l)
+
+
+# ---------------------------------------------------------------------------
 # the verdict report as one plain dict: the engine's former run_case, which
 # built every report from fresh dicts, kept as the oracle for the reports the
 # pipeline now assembles from memoized fragments

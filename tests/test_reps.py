@@ -32,7 +32,16 @@ from kummer.reps import (
     zero_sum_module,
 )
 
-from oracles import exhaustive_is_simple, invariant_alternating_form, trivial_module
+from oracles import (
+    brute_force_hom_dim,
+    brute_force_wedge2_invariants_dim,
+    end_dim_by_rows,
+    exhaustive_is_simple,
+    h0_by_rows,
+    invariant_alternating_form,
+    trivial_module,
+    wedge2_invariants_by_rows,
+)
 
 
 def trivial_group():
@@ -335,3 +344,83 @@ def test_is_simple_marks_cost_one_byte_per_vector():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**12
+
+
+# ---------------------------------------------------------------------------
+# End, H^0 and the wedge-square invariants as Hom dimensions, against the
+# former row builders and a count of every candidate map
+
+
+@pytest.mark.parametrize(
+    "m", list(_named_modules()), ids=lambda m: f"{m.group.name}-F{m.l}^{m.dim}"
+)
+def test_hom_dimensions_match_the_former_row_builders_on_named_modules(m):
+    assert endomorphism_algebra_dim(m) == end_dim_by_rows(m)
+    assert h0(m) == h0_by_rows(m)
+    k = len(m.group.generators)
+    for chi in {(1,) * k, (m.l - 1,) * k}:
+        twisted = with_character(m, chi)
+        assert wedge2_dual_invariants_dim(twisted) == wedge2_invariants_by_rows(twisted)
+
+
+def _invertible(rng, dim, l):
+    while True:
+        m = [[rng.randrange(l) for _ in range(dim)] for _ in range(dim)]
+        if rank(m, l) == dim:
+            return m
+
+
+@st.composite
+def module_pairs(draw):
+    """(m, n) on one group of 1 to 3 generators, of dim <= 3 over F_2 or
+    <= 2 over F_3, with random invertible generator matrices; m carries a
+    random unit character (over F_2 the trivial one)."""
+    l = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(min_value=1, max_value=3))
+    dims = st.integers(min_value=0, max_value=3 if l == 2 else 2)
+    dm, dn = draw(dims), draw(dims)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    group = FiniteGroup([from_cycles(1, [])] * k, name=f"free{k}")
+    chi = tuple(rng.randrange(1, l) for _ in range(k))
+    m = GModule(group, dm, l, tuple(_invertible(rng, dm, l) for _ in range(k)), chi)
+    n = GModule(group, dn, l, tuple(_invertible(rng, dn, l) for _ in range(k)))
+    return m, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(module_pairs())
+def test_hom_dimensions_match_brute_force_on_random_modules(pair):
+    m, n = pair
+    group, l = m.group, m.l
+    assert hom_module_dim(m, n) == brute_force_hom_dim(m, n)
+    assert hom_module_dim(n, m) == brute_force_hom_dim(n, m)
+    assert endomorphism_algebra_dim(m) == brute_force_hom_dim(m, m)
+    assert h0(m) == brute_force_hom_dim(trivial_module(group, 1, l), m)
+    wedge_dim = wedge2_dual_invariants_dim(m)
+    assert wedge_dim == brute_force_wedge2_invariants_dim(m)
+    if m.dim >= 2:
+        pairs, wedge = wedge_square_matrices(m)
+        chi = GModule(group, 1, l, tuple(((c,),) for c in m.character))
+        assert wedge_dim == brute_force_hom_dim(GModule(group, len(pairs), l, wedge), chi)
+
+
+def test_end_h0_and_wedge_invariants_each_solve_one_hom_system(monkeypatch):
+    from kummer import reps
+
+    calls = []
+    real = reps.hom_module_dim
+
+    def recording(m, n):
+        calls.append((m.dim, n.dim))
+        return real(m, n)
+
+    monkeypatch.setattr(reps, "hom_module_dim", recording)
+    m = with_character(standard_module(5, "S"), [1, 1])
+    for f, shapes in (
+        (endomorphism_algebra_dim, (4, 4)),
+        (h0, (1, 4)),
+        (wedge2_dual_invariants_dim, (6, 1)),
+    ):
+        calls.clear()
+        f(m)
+        assert calls == [shapes]

@@ -217,10 +217,6 @@ def test_a_forced_failure_withholds_what_the_torsor_line_would_refuse():
     assert report.conclusions["withheld_because"] == ["linear_disjointness", "pic_model_cohomology"]
 
 
-def _matrix():
-    return F2Matrix(2, 2, [1, 3])
-
-
 def _integral_lattice():
     return Lattice(2, [[1, 0], [0, 1]])
 
@@ -230,7 +226,7 @@ def _half_lattice():
 
 
 # each read-only value class: a builder of equal values and one of another
-# value; an F2Matrix or a Lattice field has no hash, so neither has its holder
+# value; a Lattice field has no hash, so neither has its holder
 FROZEN = {
     "IntPolynomial": (lambda: IntPolynomial((1, -1, 0, 0, 0, 1, 0)), lambda: X3),
     "GaloisCertificate": (
@@ -239,8 +235,8 @@ FROZEN = {
     ),
     "DiscClass": (lambda: DiscClass((19, 151), 1), lambda: DiscClass((19, 151), -1)),
     "DisjointnessCertificate": (
-        lambda: DisjointnessCertificate("Certified", "ok", _matrix()),
-        lambda: DisjointnessCertificate("Failed", "ok", _matrix()),
+        lambda: DisjointnessCertificate("Certified", "ok"),
+        lambda: DisjointnessCertificate("Failed", "ok"),
     ),
     "FactorInput": (
         lambda: FactorInput(IntPolynomial(X5.coefficients), True),
@@ -255,7 +251,7 @@ FROZEN = {
         lambda: KummerLatticeModel(1, 2, _integral_lattice(), _half_lattice(), Lattice(2, [])),
     ),
 }
-UNHASHABLE = {"DisjointnessCertificate", "KummerLatticeModel"}
+UNHASHABLE = {"KummerLatticeModel"}
 
 
 @pytest.mark.parametrize("site", SITES)
