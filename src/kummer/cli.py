@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-    verify --input case.json --report out.json [--prime-bound N]
-           [--mode certify|heuristic] [--force-fail CHECK]
+    verify --input case.json --report out.json [--prime-bound N] [--force-fail CHECK]
     verify --audit example1|example2|example3 --report out.json
+
+There is no --mode: a hypothesis passes only on an exact check.
 
 Exit codes: 0 = all conclusions asserted (and --help), 2 = conclusions
 withheld, 3 = a soundness check of the engine failed (GroupCheckFailed,
@@ -57,7 +58,6 @@ def build_parser():
     p.add_argument("--input", help="case file (JSON)")
     p.add_argument("--report", help="write the report JSON here (default: stdout)")
     p.add_argument("--prime-bound", type=int, default=None, help="override the case prime bound")
-    p.add_argument("--mode", choices=["certify", "heuristic"], default=None)
     p.add_argument(
         "--audit",
         choices=["example1", "example2", "example3"],
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.audit:
-            case_flags = ("input", "prime_bound", "mode", "force_fail")
+            case_flags = ("input", "prime_bound", "force_fail")
             given = [f"--{k.replace('_', '-')}" for k in case_flags if getattr(args, k) is not None]
             if given:
                 raise InputError(f"--audit takes no case options, got {', '.join(given)}")
@@ -110,9 +110,8 @@ def main(argv=None) -> int:
             # bytes that are not UTF-8, an integer past Python's digit limit,
             # or nesting deeper than the decoder's recursion
             raise InputError(f"case file cannot be decoded: {exc}") from exc
-        overrides = {"prime_bound": args.prime_bound, "mode": args.mode}
-        if isinstance(obj, dict):  # parse_case refuses any other JSON value
-            obj.update((key, value) for key, value in overrides.items() if value is not None)
+        if isinstance(obj, dict) and args.prime_bound is not None:
+            obj["prime_bound"] = args.prime_bound  # parse_case refuses a non-object
         case = parse_case(obj)
         report = run_case(case, force_fail=args.force_fail)
         _emit(report.to_json(), args.report)

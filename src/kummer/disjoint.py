@@ -116,7 +116,7 @@ def certify_family_disjoint(certs, classes) -> DisjointnessCertificate:
             raise InputMismatch("every certificate must name its group")
 
     # (i) pairs with at least one alternating factor
-    heuristic_pairs = []
+    undecided_pairs = []
     for i in range(len(certs)):
         for j in range(i + 1, len(certs)):
             a, b = certs[i], certs[j]
@@ -125,7 +125,7 @@ def certify_family_disjoint(certs, classes) -> DisjointnessCertificate:
                     a.verdict == b.verdict == "AlternatingGroup"
                     and a.degree == b.degree
                 ):
-                    heuristic_pairs.append((i, j))
+                    undecided_pairs.append((i, j))
                 # otherwise: non-isomorphic simple socles, no common quotient
 
     # (ii) symmetric-type family: F_2-independence of the disc classes
@@ -147,10 +147,10 @@ def certify_family_disjoint(certs, classes) -> DisjointnessCertificate:
             "Failed",
             "discriminant classes of the symmetric-type factors are F_2-dependent",
         )
-    if heuristic_pairs:
+    if undecided_pairs:
         return DisjointnessCertificate(
             "HeuristicOnly",
-            f"alternating factors of equal degree at positions {heuristic_pairs}; "
+            f"alternating factors of equal degree at positions {undecided_pairs}; "
             "field equality is not decided exactly",
         )
     return DisjointnessCertificate("Certified", "all pairwise rules discharged")
@@ -162,7 +162,8 @@ def frobenius_joint_statistics(
     """Total-variation distance between the joint cycle-type distribution and
     the product of marginals over unramified primes below the bound.
 
-    Reported only; never used to upgrade a verdict to Certified.
+    No verdict, report or audit reads it: it stays only because the benchmark's
+    span table (``bench/spans.py``, ``LAYERS``) wraps it by name.
     """
     joint = {}
     m1 = {}

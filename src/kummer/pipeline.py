@@ -52,7 +52,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import fp
 from .cohomology import cocycle_class_is_nonzero, h1_dim, validate_module
-from .disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
+from .disjoint import certify_family_disjoint, disc_class
 from .errors import ActionMismatch, EngineError, FactorBudgetExceeded, InputError
 from .frozen import Frozen
 from .galois import IntPolynomial, certify_galois, discriminant
@@ -131,13 +131,11 @@ class FactorInput(Frozen):
 
 
 class CaseInput(Frozen):
-    __slots__ = ("factors", "prime_bound", "mode")
+    __slots__ = ("factors", "prime_bound")
 
-    def __init__(self, factors: tuple, prime_bound: int = 1000, mode: str = "certify"):
+    def __init__(self, factors: tuple, prime_bound: int = 1000):
         if not factors:
             raise InputError("at least one factor is required")
-        if mode not in ("certify", "heuristic"):
-            raise InputError(f"unknown mode {mode!r}")
         g = 0
         for f in factors:
             d = f.poly.degree
@@ -148,7 +146,6 @@ class CaseInput(Frozen):
             raise InputError("total abelian dimension g must be at least 2")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "prime_bound", prime_bound)
-        object.__setattr__(self, "mode", mode)
 
     @property
     def g(self):
@@ -182,8 +179,8 @@ def _coefficient(c) -> int:
 def parse_case(obj) -> CaseInput:
     """Case file schema: {"factors": [{"poly": [c0, ...], "torsor_nontrivial": b}],
     "prime_bound": N, "mode": "certify"}; coefficients are JSON integers or
-    decimal strings, b is a JSON bool, 2 <= N <= PRIME_BOUND_MAX, and no other
-    keys are accepted."""
+    decimal strings, b is a JSON bool, 2 <= N <= PRIME_BOUND_MAX, "mode" may
+    be omitted and takes no other value, and no other keys are accepted."""
     if not isinstance(obj, dict):
         raise InputError("case file must contain a JSON object")
     _check_keys(obj, CASE_KEYS, "the case")
@@ -210,8 +207,9 @@ def parse_case(obj) -> CaseInput:
         or not 2 <= prime_bound <= PRIME_BOUND_MAX
     ):
         raise InputError(f'"prime_bound" must be an integer in [2, {PRIME_BOUND_MAX}]')
-    mode = obj.get("mode", "certify")
-    return CaseInput(tuple(factors), prime_bound, mode)
+    if obj.get("mode", "certify") != "certify":
+        raise InputError(f'"mode" must be "certify", got {obj["mode"]!r}')
+    return CaseInput(tuple(factors), prime_bound)
 
 
 class Fragment(str):
@@ -230,10 +228,10 @@ def _fragment(value) -> Fragment:
 def report_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, byte for byte,
     for what a report or an audit record holds: dicts with str keys, lists,
-    tuples, str, int, float, bool and None, with each Fragment written as the
-    value it encodes.  A key that is not a str, a value of any other type
-    (TypeError) and a nan or an infinity (ValueError) raise where json.dumps
-    would coerce them or write something that is not JSON.  With an indent,
+    tuples, str, int, bool and None, with each Fragment written as the value
+    it encodes.  A key that is not a str and a value of any other type, a
+    float included, raise TypeError where json.dumps would coerce them or
+    write something that is not exact JSON.  With an indent,
     json.dumps runs its general encoder in pure Python; this is only the
     dict, list and scalar cases a report needs."""
     out = []
@@ -253,10 +251,6 @@ def _encode(value, newline, out):
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{value!r} has no JSON form")
-        out.append(float.__repr__(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -337,7 +331,7 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
         skip = {"skipped": "galois certification failed"}
         outcomes += [(False, skip), (False, [skip]), (False, [skip]), (False, skip), (False, skip)]
     else:
-        outcomes.append(_disjointness_stage(case, certs))
+        outcomes.append(_disjointness_stage(certs))
         sigs = tuple(
             (cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A", f.torsor_nontrivial)
             for cert, f in zip(certs, case.factors)
@@ -412,24 +406,16 @@ def _galois_stage(case):
     return all(ok for _, ok, _ in memo), [d for _, _, d in memo], [c for c, _, _ in memo]
 
 
-def _disjointness_stage(case, certs):
-    """(2) Linear disjointness of the splitting fields."""
+def _disjointness_stage(certs):
+    """(2) Linear disjointness of the splitting fields: passed only when
+    certified exactly, so an undecided (HeuristicOnly) family withholds."""
     try:
         memo = [_disc_class(cert.discriminant) for cert in certs]
         out = certify_family_disjoint(certs, [c for c, _ in memo])
     except FactorBudgetExceeded as exc:
-        return case.mode == "heuristic", {"verdict": "HeuristicOnly", "reason": str(exc)}
+        return False, {"verdict": "HeuristicOnly", "reason": str(exc)}
     details = {"verdict": out.verdict, "reason": out.reason, "classes": [e for _, e in memo]}
-    heuristic = case.mode == "heuristic" and out.verdict == "HeuristicOnly"
-    n = len(case.factors)
-    if heuristic and n >= 2:
-        polys = [f.poly for f in case.factors]
-        details["frobenius_scores"] = {
-            f"{i},{j}": frobenius_joint_statistics(polys[i], polys[j], case.prime_bound)
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
-    return out.verdict == "Certified" or heuristic, details
+    return out.verdict == "Certified", details
 
 
 @lru_cache(maxsize=None)
@@ -640,7 +626,7 @@ def _case_echo(case):
     return {
         "factors": factors,
         "prime_bound": case.prime_bound,
-        "mode": case.mode,
+        "mode": "certify",
         "g": case.g,
         "n": len(case.factors),
     }

@@ -913,7 +913,7 @@ def unmemoized_report(case, force_fail=None):
     ``_h1_stage`` and ``_equivariant_stage``, with none of the pipeline's
     memos and no Fragment.  The strict torsor-count rule is left out: no
     input it is run on breaks it."""
-    from kummer.disjoint import certify_family_disjoint, disc_class, frobenius_joint_statistics
+    from kummer.disjoint import certify_family_disjoint, disc_class
     from kummer.errors import FactorBudgetExceeded
     from kummer.galois import certify_galois
     from kummer.picard import numerology
@@ -944,22 +944,14 @@ def unmemoized_report(case, force_fail=None):
             classes = [disc_class(cert.discriminant) for cert in certs]
             out = certify_family_disjoint(certs, classes)
         except FactorBudgetExceeded as exc:
-            disjoint = case.mode == "heuristic", {"verdict": "HeuristicOnly", "reason": str(exc)}
+            disjoint = False, {"verdict": "HeuristicOnly", "reason": str(exc)}
         else:
             details = {
                 "verdict": out.verdict,
                 "reason": out.reason,
                 "classes": [{"support": list(c.squarefree_support), "sign": c.sign} for c in classes],
             }
-            heuristic = case.mode == "heuristic" and out.verdict == "HeuristicOnly"
-            polys = [f.poly for f in case.factors]
-            if heuristic and len(polys) >= 2:
-                details["frobenius_scores"] = {
-                    f"{i},{j}": frobenius_joint_statistics(polys[i], polys[j], case.prime_bound)
-                    for i in range(len(polys))
-                    for j in range(i + 1, len(polys))
-                }
-            disjoint = out.verdict == "Certified" or heuristic, details
+            disjoint = out.verdict == "Certified", details
         sigs = tuple(
             (cert.degree, "S" if cert.verdict == "SymmetricGroup" else "A", f.torsor_nontrivial)
             for cert, f in zip(certs, case.factors)
@@ -1001,7 +993,7 @@ def unmemoized_report(case, force_fail=None):
         "case": {
             "factors": echo,
             "prime_bound": case.prime_bound,
-            "mode": case.mode,
+            "mode": "certify",
             "g": case.g,
             "n": len(case.factors),
         },

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,11 @@ def test_strict_case_schema_exit_one(tmp_path, capsys):
     code, data = run_cli(["--input", str(flag)], tmp_path)
     assert code == 1 and data is None
     assert "torsor_nontrivial" in capsys.readouterr().err
+    # certify is the only mode a case file may name
+    flag.write_text(json.dumps({**json.loads((CASES / "example1.json").read_text()), "mode": "heuristic"}))
+    code, data = run_cli(["--input", str(flag)], tmp_path)
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith('input error: "mode" must be "certify"')
     # the --prime-bound override goes through the same bound as the file
     code, data = run_cli(["--input", str(CASES / "example1.json"), "--prime-bound", "1000001"], tmp_path)
     assert code == 1 and data is None
@@ -89,16 +95,22 @@ def test_strict_case_schema_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--prime-bound", "500"], ["--mode", "heuristic"]], ids=["prime-bound", "mode"]
+    "flag,error",
+    [
+        (["--prime-bound", "500"], "case file must contain a JSON object"),
+        # --mode is no option: argparse refuses it before the file is read
+        (["--mode", "certify"], "unrecognized arguments: --mode certify"),
+    ],
+    ids=["prime-bound", "mode"],
 )
 @pytest.mark.parametrize("value", [[1, 2], "x", None, 3], ids=["list", "str", "null", "int"])
-def test_a_case_file_that_is_no_object_is_an_input_error(tmp_path, capsys, value, flag):
-    # the overrides are applied to the case before parse_case sees it
+def test_a_case_file_that_is_no_object_is_an_input_error(tmp_path, capsys, value, flag, error):
+    # the override is applied to the case before parse_case sees it
     case = tmp_path / "case.json"
     case.write_text(json.dumps(value))
     code, data = run_cli(["--input", str(case), *flag], tmp_path)
     assert code == 1 and data is None
-    assert capsys.readouterr().err == "input error: case file must contain a JSON object\n"
+    assert capsys.readouterr().err == f"input error: {error}\n"
 
 
 @pytest.mark.parametrize(
@@ -148,19 +160,26 @@ def test_report_bytes_deterministic(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_cli_overrides(tmp_path):
+def test_cli_overrides(tmp_path, capsys):
     # a prime bound too small to find witnesses downgrades the verdict
     code, data = run_cli(
         ["--input", str(CASES / "example1.json"), "--prime-bound", "2"], tmp_path
     )
     assert code == 2
     assert "galois_certification" in data["conclusions"]["withheld_because"]
-    # mode override is echoed in the case block
-    code, data = run_cli(
-        ["--input", str(CASES / "example1.json"), "--mode", "heuristic"], tmp_path
-    )
-    assert code == 0
-    assert data["case"]["mode"] == "heuristic"
+    # certify is the only mode, so --mode is no option, whatever its value
+    for mode in ("certify", "heuristic"):
+        assert main(["--input", str(CASES / "example1.json"), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+
+
+def test_the_readme_cli_block_lists_every_option():
+    # the usage block cannot drift from the parser: it names each option once
+    # or more, and nothing the parser lacks
+    block = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    options = {s for a in build_parser()._actions for s in a.option_strings if s.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", block)) == options - {"--help"}
 
 
 def test_cli_audit_example1(tmp_path):
@@ -251,7 +270,6 @@ def test_one_process_reuses_the_parser(tmp_path, capsys):
     env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
     case = ["--input", str(CASES / "two_jacobians.json")]
     for flags in (
-        ["--mode", "heuristic"],
         ["--prime-bound", "50"],
         ["--force-fail", "h1_vanishing"],
         [],

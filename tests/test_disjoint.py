@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from kummer import disjoint
 from kummer.disjoint import (
     DiscClass,
     certify_family_disjoint,
@@ -31,6 +32,21 @@ def test_squarefree_kernel():
     assert squarefree_kernel(-6417874944) == ((3, 13, 31), -1)
     assert squarefree_kernel(1) == ((), 1)
     assert squarefree_kernel(-4) == ((), -1)
+
+
+def test_squarefree_kernel_edge_cofactors(monkeypatch):
+    # a lone prime 2 left after trial division is still a prime of the support
+    assert squarefree_kernel(2) == ((2,), 1) and squarefree_kernel(-2) == ((2,), -1)
+    # two primes past TRIAL_BOUND: Pollard rho must split their product
+    assert squarefree_kernel(4 * 100003 * 100019) == ((100003, 100019), 1)
+    # a square of a prime within trial division never reaches Pollard rho
+    monkeypatch.setattr(disjoint, "pollard_rho", None)
+    assert squarefree_kernel(9) == ((), 1) and squarefree_kernel(2 * 49) == ((2,), 1)
+
+
+def test_a_square_discriminant_has_the_trivial_class():
+    assert disc_class(1) == DiscClass((), 1)
+    assert disc_class(discriminant(IntPolynomial((16, 20, 0, 0, 0, 1)))) == DiscClass((), 1)
 
 
 def test_family_s5_s3_certified():

@@ -283,10 +283,20 @@ def test_the_per_polynomial_memos_are_bounded():
         assert isinstance(pipeline.MEMO_SIZE, int)
 
 
-@pytest.mark.parametrize("mode,passed", [("certify", False), ("heuristic", True)])
-def test_a_factoring_budget_raise_reaches_run_case(mode, passed, monkeypatch):
-    factors = signature_case((3, 5), ("S", "S"), (True, False)).factors
-    case = CaseInput(factors, prime_bound=500, mode=mode)
+X3 = IntPolynomial(POLYS[3, "S"][0])  # x^3 - x - 1
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        signature_case((3, 5), ("S", "S"), (True, False)).factors,
+        # one splitting field: passing stage 2 would assert Picard rank 18
+        (FactorInput(X3, False), FactorInput(X3.shift(1), False)),
+    ],
+    ids=["s3-s5", "same-field-cubics"],
+)
+def test_a_factoring_budget_raise_reaches_run_case(factors, monkeypatch):
+    case = CaseInput(factors, prime_bound=500)
     expected = digest(run_case(case))
     clear_pipeline_memo()
 
@@ -296,15 +306,15 @@ def test_a_factoring_budget_raise_reaches_run_case(mode, passed, monkeypatch):
     monkeypatch.setattr(pipeline, "disc_class", over_budget)
     report = run_case(case)
     check = report.hypotheses[1]
-    assert check["name"] == "linear_disjointness" and check["passed"] is passed
+    assert check["name"] == "linear_disjointness" and check["passed"] is False
     assert check["details"]["verdict"] == "HeuristicOnly"
-    assert report.asserted is passed
-    if not passed:
-        assert report.conclusions["withheld_because"] == ["linear_disjointness"]
+    assert report.asserted is False
+    assert report.conclusions["withheld_because"] == ["linear_disjointness"]
+    assert report.conclusions["picard_rank"]["value"] is None
     monkeypatch.undo()
     fills = record_calls(monkeypatch, pipeline, "disc_class")
     assert digest(run_case(case)) == expected
-    assert len(fills) == len(factors)
+    assert len(fills) == len({galois.discriminant(f.poly) for f in factors})
 
 
 # ---------------------------------------------------------------------------

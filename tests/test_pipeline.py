@@ -1,6 +1,11 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from kummer import pipeline
+from kummer import picard, pipeline
 from kummer.errors import EngineError, InputError
 from kummer.galois import IntPolynomial
 from kummer.groups import FiniteGroup
@@ -117,8 +122,9 @@ def test_case_input_validation():
         CaseInput((FactorInput(IntPolynomial((1, 0, 1)), False),))  # even degree
     with pytest.raises(InputError):
         CaseInput((FactorInput(X3, False),))  # g = 1
-    with pytest.raises(InputError):
-        CaseInput((FactorInput(X5, False), FactorInput(X5, True)), mode="bogus")
+    # certify is the only mode: a case file naming another one is refused
+    with pytest.raises(InputError, match='"mode" must be "certify"'):
+        parse_case({"factors": [GOOD_FACTOR, GOOD_FACTOR], "mode": "bogus"})
 
 
 def test_beyond_lattice_cap_fails_closed():
@@ -254,6 +260,14 @@ GOOD_FACTOR = {"poly": ["1", "-1", "0", "0", "0", "1"], "torsor_nontrivial": Tru
         {"factors": [GOOD_FACTOR], "prime_bound": 200.0},
         {"factors": [GOOD_FACTOR], "prime_bound": 1},
         {"factors": [GOOD_FACTOR], "prime_bound": PRIME_BOUND_MAX + 1},
+        # factors and coefficients come as lists, and each factor has a poly
+        {"factors": 5},
+        {"factors": [5]},
+        {"factors": [{"torsor_nontrivial": True}]},
+        {"factors": [{**GOOD_FACTOR, "poly": "100001"}]},
+        # certify is the only mode
+        {"factors": [GOOD_FACTOR], "mode": "heuristic"},
+        {"factors": [GOOD_FACTOR], "mode": None},
     ],
 )
 def test_parse_case_is_strict(obj):
@@ -285,26 +299,62 @@ def test_unknown_galois_group_withholds():
     assert "galois_certification" in rep.conclusions["withheld_because"]
 
 
-def test_heuristic_mode_accepts_heuristic_disjointness():
-    # two alternating quintics of the same degree: disjointness is HeuristicOnly;
-    # certify mode withholds at that check, heuristic mode lets it pass (the
-    # lattice cap then withholds downstream since g = 4)
-    a5 = IntPolynomial((16, 20, 0, 0, 0, 1))  # x^5 + 20x + 16, square disc
-    a5b = a5.shift(2)  # same field; still alternating with square disc
-    case_c = CaseInput((FactorInput(a5, False), FactorInput(a5b, False)), prime_bound=500)
-    rep_c = run_case(case_c)
-    assert "linear_disjointness" in rep_c.conclusions["withheld_because"]
-    case_h = CaseInput(
-        (FactorInput(a5, False), FactorInput(a5b, False)), prime_bound=500, mode="heuristic"
-    )
-    rep_h = run_case(case_h)
-    dis = next(h for h in rep_h.hypotheses if h["name"] == "linear_disjointness")
-    assert dis["passed"] is True
+def test_an_undecided_alternating_pair_withholds_below_a_raised_lattice_cap(monkeypatch):
+    # x^5 + 20x + 16 and its shift by 2 have one splitting field, so the
+    # abelian variety is J x J and its Picard rank exceeds 2^8 + 2.  With the
+    # lattice cap raised to their g = 4, only stage 2 can withhold, and it must
+    a5 = IntPolynomial((16, 20, 0, 0, 0, 1))
+    monkeypatch.setattr(picard, "EQUIVARIANT_G_CAP", 4)
+    monkeypatch.setattr(pipeline, "EQUIVARIANT_G_CAP", 4)
+    report = run_case(CaseInput((FactorInput(a5, False), FactorInput(a5.shift(2), False)), 500))
+    dis = report.hypotheses[1]
+    assert dis["name"] == "linear_disjointness" and dis["passed"] is False
     assert dis["details"]["verdict"] == "HeuristicOnly"
-    assert "frobenius_scores" in dis["details"]
-    # frobenius flags the dependence loudly even though the rule engine cannot
-    assert dis["details"]["frobenius_scores"]["0,1"] > 0.5
-    assert "pi1_cohomology" in rep_h.conclusions["withheld_because"]
+    assert report.asserted is False
+    assert report.conclusions["withheld_because"] == ["linear_disjointness"]
+    assert report.conclusions["picard_rank"]["value"] is None
+
+
+BUDGET_SCRIPT = """
+import json, sys
+from kummer import pipeline
+from kummer.errors import FactorBudgetExceeded
+from kummer.galois import IntPolynomial
+from kummer.pipeline import CaseInput, FactorInput, run_case
+
+def over_budget(d):
+    raise FactorBudgetExceeded(f"cannot split cofactor of {d}")
+
+pipeline.disc_class = over_budget
+x3 = IntPolynomial((-1, -1, 0, 1))
+report = run_case(CaseInput((FactorInput(x3, False), FactorInput(x3.shift(1), False))))
+print(json.dumps([sys.flags.optimize, report.asserted, report.to_dict()]))
+"""
+
+
+def test_a_factoring_budget_raise_withholds_under_optimize_flag():
+    # x^3 - x - 1 and x^3 + 3x^2 + 2x - 1 share one splitting field, so
+    # passing an undecided stage 2 would assert a wrong Picard rank;
+    # test_factor_memo runs the same input in this process
+    root = Path(__file__).resolve().parent.parent
+    env = {"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", BUDGET_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    optimize, asserted, report = json.loads(out.stdout)
+    assert optimize == 1 and asserted is False
+    dis = report["hypotheses"][1]
+    assert dis["passed"] is False and dis["details"]["verdict"] == "HeuristicOnly"
+    assert report["conclusions"]["withheld_because"] == ["linear_disjointness"]
+    assert report["conclusions"]["picard_rank"]["value"] is None
+
+
+@pytest.mark.parametrize("obj", [{"mode": "certify"}, {}], ids=["certify", "absent"])
+def test_a_certify_or_absent_mode_parses_and_echoes_certify(obj):
+    case = parse_case({"factors": [GOOD_FACTOR], **obj})
+    assert not hasattr(case, "mode") and "mode" not in CaseInput.__slots__
+    assert run_case(case).case["mode"] == "certify"
 
 
 def test_degree3_alternating_rejected():

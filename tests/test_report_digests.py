@@ -2,7 +2,9 @@
 
 Each input's `run_case(...).to_json()` is hashed and compared with a digest
 recorded before `run_case` was split into stage functions, so a refactor of
-the pipeline cannot change a report without changing this table.
+the pipeline cannot change a report without changing this table.  The same
+case files with `"mode": "heuristic"` were pinned until that mode was
+deleted; each must now be refused as an input error.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from kummer.errors import InputError
 from kummer.galois import IntPolynomial
 from kummer.pipeline import HYPOTHESIS_CHECKS, CaseInput, FactorInput, parse_case, run_case
 
@@ -40,20 +43,31 @@ EDGE = {
 }
 
 
-def _inputs():
+def _case_files(mode):
     for name in ("example1", "two_jacobians"):
         obj = json.loads((CASES / f"{name}.json").read_text())
-        for mode in ("certify", "heuristic"):
-            for fault in (None,) + HYPOTHESIS_CHECKS:
-                case = parse_case({**obj, "mode": mode})
-                yield f"{name}-{mode}-{fault or 'none'}", case, fault
+        for fault in (None,) + HYPOTHESIS_CHECKS:
+            yield f"{name}-{mode}-{fault or 'none'}", {**obj, "mode": mode}, fault
     for name, polys in EDGE.items():
-        for mode in ("certify", "heuristic"):
-            factors = tuple(FactorInput(p, True) for p in polys)
-            yield f"{name}-{mode}", CaseInput(factors, prime_bound=500, mode=mode), None
+        factors = [{"poly": list(p.coefficients), "torsor_nontrivial": True} for p in polys]
+        yield f"{name}-{mode}", {"factors": factors, "prime_bound": 500, "mode": mode}, None
 
 
-INPUTS = list(_inputs())
+INPUTS = [(key, parse_case(obj), fault) for key, obj, fault in _case_files("certify")]
+# heuristic mode is deleted: the case files once pinned in it are refused
+RETIRED = list(_case_files("heuristic"))
+PINNED = INPUTS + RETIRED
+
+
+def pinned_report(case, fault):
+    """``run_case(case, force_fail=fault)``, or None for a RETIRED case file,
+    which parse_case must refuse."""
+    if isinstance(case, dict):
+        with pytest.raises(InputError, match='"mode" must be "certify"'):
+            parse_case(case)
+        return None
+    return run_case(case, force_fail=fault)
+
 
 DIGESTS = {
     "example1-certify-none": "42142648dff53c8f6cd1a9101377f3ab3d3df3ae4dd2e397ed575d293095511c",
@@ -63,13 +77,6 @@ DIGESTS = {
     "example1-certify-h1_vanishing": "5fa5e8340cd1dc867b7ea039c2d3aa1e8152eba9abf17a1a1ddeb8b5f6b2016e",
     "example1-certify-pi1_cohomology": "8d84d25c7c412ca253616cd368d68d439bfc997e7dc3155f153cae63a24be0a0",
     "example1-certify-pic_model_cohomology": "7419e2890be115a7d70e9562b98cdf0b50b462f147b6a31842c4da5b21a1b1ed",
-    "example1-heuristic-none": "6b188b4dc1aa49d4acaf1f8887f6fbb88dd4e82f90d90776796100c12be2ad38",
-    "example1-heuristic-galois_certification": "ae99ff9a24d02456a12b3e069f56c6022072d59012be7f775eb62ec468cba785",
-    "example1-heuristic-linear_disjointness": "4a7cce9fd8f0744b6885748b40faf37632d91a3af0e02b76eeec4d3fb31ed38e",
-    "example1-heuristic-module_structure": "cf1fac238bb887d8ca14b886020a7db438df6a7db2bef15c49cf3c684f2f699a",
-    "example1-heuristic-h1_vanishing": "7e0ca28bd4b741ab8ef1315dcc695752e843e8c1e979a708bb1a6e964437510d",
-    "example1-heuristic-pi1_cohomology": "996e68e5e75fc081276375c37859080ffb03283d7564104e2407ea8dc4abac89",
-    "example1-heuristic-pic_model_cohomology": "1fc2118c040a0d9d0aebbee9111a3c84068d71c45fdb335beaed733ca027962e",
     "two_jacobians-certify-none": "06024f614e6d3008f1bcb41e41d7ecad9d92c471d317bbc4c61862dc77e87bdc",
     "two_jacobians-certify-galois_certification": "4b46a4a5182b21498fc138ab912f43bf204e5a8e9115b5ffbdc5bdd2b74b73a2",
     "two_jacobians-certify-linear_disjointness": "9c59f91f39217fa9a628ad63edff8655394567dd5303e1ee62bf3140007b327b",
@@ -77,27 +84,13 @@ DIGESTS = {
     "two_jacobians-certify-h1_vanishing": "7960b64eb28fcafdb8c62f54c932df15242dff1532dfe05cde8e98fde84405a8",
     "two_jacobians-certify-pi1_cohomology": "a02d92919d20b3fa8eecae9d64ca86ca7a4a32eca744d252216d16688e681af6",
     "two_jacobians-certify-pic_model_cohomology": "cec049e3dbc091cc0a1426f8c1da4d2a068412ec9b0c8268a46f9d8a6efcc969",
-    "two_jacobians-heuristic-none": "6c2e6ab243843e6f68e32ea119cf8ae0001b0e8fc68fe0d9ab70e96c392276ab",
-    "two_jacobians-heuristic-galois_certification": "f052573177b9ae638b7bd93b2bc86b80fd75134100c85e6451a2d806a4effbd2",
-    "two_jacobians-heuristic-linear_disjointness": "8ef5a9d77ec7956c19a34a59f5506e94fac202d78cdf3cce94d2b738f4170757",
-    "two_jacobians-heuristic-module_structure": "1365504dcea720d82bef768e9559ea46fbf0f21b9b30be50a99256b299587f70",
-    "two_jacobians-heuristic-h1_vanishing": "8dad039044bd65e9d3aee2ac0be85f8367d717881453a206c694e7ce5f83cfa2",
-    "two_jacobians-heuristic-pi1_cohomology": "7ad6f6421a7040517b9ad9c665491ab1d577e1a6abbb4b7d1d55f29f3e4d4424",
-    "two_jacobians-heuristic-pic_model_cohomology": "2655966cca2cb47d4da4a798f9e301289d411a184c3226ff46e68f1ff31fa181",
     "degree9-certify": "610221cee46e57ff98b68e7078cc2fd00595668ec65462ccf202997de9cf1f6a",
-    "degree9-heuristic": "b5afc6e551f996ea277b81a1fb3291294380acc3f58be4abf8f8ca0ca1f96af0",
     "a3_cubic-certify": "236ee01a11c72716ed1771b342153e7485a9f970957c385e7dd38da46056c367",
-    "a3_cubic-heuristic": "209e19c0fa09fb28f5ff9bd10d03c6843a522723539e0e9a8d35a25f22eb1ed8",
     "duplicate-certify": "c38b224286be1c0bd354691e64f61779d4c6cb3fcc7668297a63d3f4e1e4f602",
-    "duplicate-heuristic": "4d4870fddea52d8c1aaeecbfa9c6c77df257f7e1b037aebd9d506daf9e42cf91",
     "g4_pair-certify": "f2d5a501fb300a5ae979f01e4984d29b6c4f9c6ba7b546c7fe1d13d28e486ed3",
-    "g4_pair-heuristic": "d79618d02f8710e765db8cf2a58f4e4955ebae30bb293c8303281dfb3ea437ff",
     "a5_shift-certify": "218278e810d7e05ed9e17d0a214a721c2c8b392aa347dba00d7a7fa5ff48fdf7",
-    "a5_shift-heuristic": "47ca704520ebd5014e32d4f6e1a24fcd5b64b2409ca2bf2860bc8702d0dee94f",
     "three_cubics-certify": "a99a715af405734a6dccb188bd7950e2cad4e700ac390f969118995eb8f1254a",
-    "three_cubics-heuristic": "d9f2074b7785ef68b0ad25776ef227539661f69762bd126fb8bcf3ac0d9dd575",
     "three_s3_cubics-certify": "56ccb2ec616e79ea249ea6e084d3aeebe8e77f92aa30bfa447c08dd23f704548",
-    "three_s3_cubics-heuristic": "89428fe5782021ab6aaea9a8ba221f2529d9716d82d35c40c0950a4c3fd8fc10",
 }
 
 
@@ -105,10 +98,9 @@ def test_every_input_is_pinned():
     assert sorted(DIGESTS) == sorted(key for key, _, _ in INPUTS)
 
 
-@pytest.mark.parametrize("mode", ["certify", "heuristic"])
-def test_three_s3_cubics_reach_every_stage(mode):
+def test_three_s3_cubics_reach_every_stage():
     factors = tuple(FactorInput(p, True) for p in EDGE["three_s3_cubics"])
-    report = json.loads(run_case(CaseInput(factors, prime_bound=500, mode=mode)).to_json())
+    report = json.loads(run_case(CaseInput(factors, prime_bound=500)).to_json())
     stages = {h["name"]: h for h in report["hypotheses"]}
     assert list(stages) == list(HYPOTHESIS_CHECKS)
     assert all(h["passed"] for h in stages.values())
@@ -116,10 +108,11 @@ def test_three_s3_cubics_reach_every_stage(mode):
     assert report["conclusions"]["asserted"] is True
 
 
-@pytest.mark.parametrize("key,case,fault", INPUTS, ids=[key for key, _, _ in INPUTS])
+@pytest.mark.parametrize("key,case,fault", PINNED, ids=[key for key, _, _ in PINNED])
 def test_report_digest(key, case, fault):
-    report = run_case(case, force_fail=fault).to_json()
-    assert hashlib.sha256(report.encode()).hexdigest() == DIGESTS[key]
+    report = pinned_report(case, fault)
+    if report is not None:
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == DIGESTS[key]
 
 
 def test_every_digest_holds_in_one_warm_process():

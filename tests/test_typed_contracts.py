@@ -41,7 +41,7 @@ from kummer.gf2 import F2Matrix
 from kummer.groups import FiniteGroup, from_cycles, stabiliser_chain, symmetric_group
 from kummer.lattice import Lattice
 from kummer.picard import KummerLatticeModel, numerology, torsor_factor_group
-from kummer.pipeline import CaseInput, FactorInput
+from kummer.pipeline import CaseInput, FactorInput, parse_case
 from kummer.reps import GModule, is_simple, permutation_module, standard_module
 from kummer.smith import RowSolver, ZMatrix, bareiss_det
 
@@ -153,7 +153,10 @@ SITES = {
     "polynomial-float-coefficient": (lambda: IntPolynomial((1.7, 1)), InputError),
     "polynomial-no-coefficients": (lambda: IntPolynomial(()), InputError),
     "case-no-factors": (lambda: CaseInput(()), InputError),
-    "case-unknown-mode": (lambda: CaseInput((FactorInput(X5, False),) * 2, mode="x"), InputError),
+    "case-unknown-mode": (
+        lambda: parse_case({"factors": [{"poly": [1, -1, 0, 0, 0, 1]}], "mode": "heuristic"}),
+        InputError,
+    ),
     "case-even-degree": (
         lambda: CaseInput((FactorInput(IntPolynomial((1, 0, 1)), False),)),
         InputError,
@@ -243,8 +246,8 @@ FROZEN = {
         lambda: FactorInput(X5, False),
     ),
     "CaseInput": (
-        lambda: CaseInput((FactorInput(X5, True),), 500, "heuristic"),
-        lambda: CaseInput((FactorInput(X5, True),), 501, "heuristic"),
+        lambda: CaseInput((FactorInput(X5, True),), 500),
+        lambda: CaseInput((FactorInput(X5, True),), 501),
     ),
     "KummerLatticeModel": (
         lambda: KummerLatticeModel(1, 2, _integral_lattice(), _half_lattice(), _half_lattice()),
