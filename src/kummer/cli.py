@@ -91,7 +91,7 @@ def main(argv=None) -> int:
             if given:
                 raise InputError(f"--audit takes no case options, got {', '.join(given)}")
             record = {
-                "example1": lambda: audit_example_1_odd(3),
+                "example1": audit_example_1_odd,
                 "example2": audit_example_2_goursat,
                 "example3": audit_example_3_desk,
             }[args.audit]()

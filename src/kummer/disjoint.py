@@ -14,7 +14,6 @@ from .errors import FactorBudgetExceeded, InputError, InputMismatch, ZeroInput
 from .frozen import Frozen
 from .galois import (
     RAMIFIED,
-    RHO_BUDGET,
     IntPolynomial,
     discriminant,
     frobenius_scan,
@@ -44,9 +43,9 @@ class DiscClass(Frozen):
 def squarefree_kernel(n: int):
     """Prime support of the squarefree part of n (n != 0), plus the sign.
 
-    Trial division up to TRIAL_BOUND, then Pollard-rho passes of RHO_BUDGET
-    steps each; raises FactorBudgetExceeded when a composite cofactor refuses
-    to split.
+    Trial division up to TRIAL_BOUND, then Pollard-rho passes, whose budget
+    shrinks with the cofactor's size (galois.pollard_rho); raises
+    FactorBudgetExceeded when a composite cofactor refuses to split.
     """
     if n == 0:
         raise ZeroInput("the squarefree kernel of 0 is undefined")

@@ -29,10 +29,6 @@ class DimTooLarge(EngineError):
     """Module dimension above the spin-up feasibility bound."""
 
 
-class BadPrime(EngineError):
-    """The prime divides the leading coefficient (reduction undefined)."""
-
-
 class EvenDegree(EngineError):
     """Galois certification only supports odd-degree polynomials."""
 

@@ -26,14 +26,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .errors import (
-    BadPrime,
-    EvenDegree,
-    GaloisCheckFailed,
-    Inseparable,
-    InputError,
-    ZeroInput,
-)
+from .errors import EvenDegree, GaloisCheckFailed, Inseparable, InputError, ZeroInput
 from .frozen import Frozen
 from .smith import bareiss_det
 
@@ -66,41 +59,6 @@ class IntPolynomial(Frozen):
         return IntPolynomial(
             tuple(i * c for i, c in enumerate(self.coefficients))[1:] or (0,)
         )
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other):
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return IntPolynomial(tuple(out))
-
-    def shift(self, a):
-        """f(x + a)."""
-        xa = IntPolynomial((a, 1))
-        cur = IntPolynomial((1,))
-        total = IntPolynomial((0,))
-        for c in self.coefficients:
-            total = total + cur.scale(c)
-            cur = cur * xa
-        return total
-
-    def scale(self, c):
-        return IntPolynomial(tuple(c * x for x in self.coefficients))
-
-    def __add__(self, other):
-        a, b = list(self.coefficients), list(other.coefficients)
-        if len(a) < len(b):
-            a, b = b, a
-        for i, y in enumerate(b):
-            a[i] += y
-        return IntPolynomial(tuple(a))
 
     def __repr__(self):
         return f"IntPolynomial{self.coefficients}"
@@ -170,16 +128,11 @@ def primes_up_to(bound):
 
 
 class Ramified:
-    """Sentinel: f mod p is not squarefree."""
+    """Sentinel: f mod p is not squarefree.  Its one instance is RAMIFIED,
+    compared by identity."""
 
     def __repr__(self):
         return "Ramified"
-
-    def __eq__(self, other):
-        return isinstance(other, Ramified)
-
-    def __hash__(self):
-        return hash("Ramified")
 
 
 RAMIFIED = Ramified()
@@ -437,15 +390,6 @@ def frobenius_scan(f: IntPolynomial, disc: int, primes):
     yield from _scan_batch(coeffs, disc, batch, lanes)
 
 
-def cycle_type_mod_p(f: IntPolynomial, p: int):
-    """Degrees of the irreducible factors of f mod p (sorted tuple), or RAMIFIED."""
-    if f.leading % p == 0:
-        raise BadPrime(f"{p} divides the leading coefficient")
-    # a constant's derivative vanishes, so it is never squarefree here
-    disc = discriminant(f) if f.degree >= 1 else 0
-    return next(frobenius_scan(f, disc, (p,)))[1]
-
-
 # ---------------------------------------------------------------------------
 # certification
 
@@ -461,13 +405,9 @@ class GaloisCertificate(Frozen):
         "disc_square",
         "prime_bound_used",
         "discriminant",
-        "diagnostics",
     )
 
-    def __init__(
-        self, degree, verdict, witnesses, disc_square, prime_bound_used, discriminant,
-        diagnostics="",
-    ):
+    def __init__(self, degree, verdict, witnesses, disc_square, prime_bound_used, discriminant):
         init = object.__setattr__
         init(self, "degree", degree)
         init(self, "verdict", verdict)
@@ -475,7 +415,6 @@ class GaloisCertificate(Frozen):
         init(self, "disc_square", disc_square)
         init(self, "prime_bound_used", prime_bound_used)
         init(self, "discriminant", discriminant)
-        init(self, "diagnostics", diagnostics)
 
 
 def _power_cycle_types(t):
@@ -543,10 +482,7 @@ def certify_galois(f: IntPolynomial, prime_bound: int = 1000) -> GaloisCertifica
     if disc == 0:
         raise Inseparable("zero discriminant")
     if d not in (3, 5, 7):
-        return GaloisCertificate(
-            d, "Unknown", (), disc_is_square(disc), prime_bound, disc,
-            diagnostics=f"degree {d} outside the supported table {{3, 5, 7}}",
-        )
+        return GaloisCertificate(d, "Unknown", (), disc_is_square(disc), prime_bound, disc)
     square = disc_is_square(disc)
     irred = None
     jordan = None
@@ -578,10 +514,7 @@ def certify_galois(f: IntPolynomial, prime_bound: int = 1000) -> GaloisCertifica
                 prime_bound,
                 disc,
             )
-    return GaloisCertificate(
-        d, "Unknown", tuple(sorted(witnesses)), square, prime_bound, disc,
-        diagnostics="witness search exhausted the prime bound",
-    )
+    return GaloisCertificate(d, "Unknown", tuple(sorted(witnesses)), square, prime_bound, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +551,21 @@ def is_probable_prime(n: int) -> bool:
 
 def pollard_rho(n: int):
     """Floyd cycle-finding on x -> x^2 + c mod n (x one step, y two steps a
-    round, from x = y = 2) for c = 1, 3, 5, 7, 11 in turn, RHO_BUDGET rounds
-    each; None when unlucky."""
+    round, from x = y = 2) for c = 1, 3, 5, 7, 11 in turn; None when unlucky.
+
+    Each c gets RHO_BUDGET rounds when n has at most 128 bits, and
+    RHO_BUDGET * (128 / bits)^2 rounds (at least 1) past that, since a round
+    costs about the square of n's width: the budget bounds the work, not only
+    the rounds."""
     if n % 2 == 0:
         return 2
+    bits = n.bit_length()
+    budget = RHO_BUDGET if bits <= 128 else max(1, RHO_BUDGET * 128**2 // bits**2)
     for c in (1, 3, 5, 7, 11):
         x = y = 2
         d = 1
         steps = 0
-        while d == 1 and steps < RHO_BUDGET:
+        while d == 1 and steps < budget:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n

@@ -177,21 +177,6 @@ class FiniteGroup:
         self.enumerate()
         return len(self.elements)
 
-    def element_orders(self):
-        """Sorted list of element orders (desk scale only)."""
-        self.enumerate()
-        e = self.identity()
-        out = []
-        for x in self.elements:
-            t = _table(x)
-            n = 1
-            y = x
-            while y != e:
-                y = y.translate(t)
-                n += 1
-            out.append(n)
-        return sorted(out)
-
     def subgroup_closure(self, seeds):
         """Elements of <seeds>, BFS products only (enough for finite groups)."""
         e = self.identity()
@@ -422,9 +407,9 @@ def semidirect(v_dim: int, g: FiniteGroup, action) -> FiniteGroup:
     """Semidirect product F_2^v_dim x| g for a given F_2 action of g.
 
     ``action`` is either a G-module object over F_2 (with generator_matrices
-    aligned to g.generators) or a plain list of such matrices; matrices may be
-    given as packed rows (ints) or 0/1 row lists.  Generators of the result
-    are the basis translations followed by the lifted generators of g.
+    aligned to g.generators) or a plain list of such matrices, as 0/1 row
+    lists.  Generators of the result are the basis translations followed by
+    the lifted generators of g.
     """
     mats = _action_rows(v_dim, g, action)
     idrows = tuple(1 << i for i in range(v_dim))
@@ -466,12 +451,9 @@ def _action_rows(v_dim, g, action):
     for m in raw:
         rows = []
         for r in m:
-            if isinstance(r, int):
-                rows.append(r)
-            else:
-                if len(r) != v_dim:
-                    raise DimensionMismatch("action matrix has wrong shape")
-                rows.append(sum((x & 1) << i for i, x in enumerate(r)))
+            if len(r) != v_dim:
+                raise DimensionMismatch("action matrix has wrong shape")
+            rows.append(sum((x & 1) << i for i, x in enumerate(r)))
         if len(rows) != v_dim:
             raise DimensionMismatch("action matrix has wrong shape")
         mats.append(tuple(rows))

@@ -296,19 +296,9 @@ class EquivariantModel:
     factor_modules holds the GModule of the product group on each V_i, and
     tau_cocycles, per factor, a tuple over generators of F_2 vectors."""
 
-    __slots__ = (
-        "model", "group", "flags", "dims", "point_perms", "pi1_matrices", "factor_modules",
-        "tau_cocycles",
-    )
+    __slots__ = ("point_perms", "pi1_matrices", "factor_modules", "tau_cocycles")
 
-    def __init__(
-        self, model: KummerLatticeModel, group: FiniteGroup, flags: tuple, dims: tuple,
-        point_perms: list, pi1_matrices: list, factor_modules: list, tau_cocycles: list,
-    ):
-        self.model = model
-        self.group = group
-        self.flags = flags
-        self.dims = dims
+    def __init__(self, point_perms, pi1_matrices, factor_modules, tau_cocycles):
         self.point_perms = point_perms
         self.pi1_matrices = pi1_matrices
         self.factor_modules = factor_modules
@@ -348,6 +338,4 @@ def equivariant_lattice(model: KummerLatticeModel, p_group: FiniteGroup, flags) 
         GModule(p_group, d, 2, tuple(gp[i][0] for gp in parts)) for i, d in enumerate(dims)
     ]
     tau = [tuple(gp[i][1] for gp in parts) for i in range(len(dims))]
-    return EquivariantModel(
-        model, p_group, flags, dims, perms, pi1_mats, factor_modules, tau
-    )
+    return EquivariantModel(perms, pi1_mats, factor_modules, tau)

@@ -59,7 +59,6 @@ from .galois import IntPolynomial, certify_galois, discriminant
 from .groups import (
     affine,
     alternating_group,
-    direct_product,
     general_symplectic_group,
     group_order_formula,
     has_index_l_normal_subgroup,
@@ -179,8 +178,9 @@ def _coefficient(c) -> int:
 def parse_case(obj) -> CaseInput:
     """Case file schema: {"factors": [{"poly": [c0, ...], "torsor_nontrivial": b}],
     "prime_bound": N, "mode": "certify"}; coefficients are JSON integers or
-    decimal strings, b is a JSON bool, 2 <= N <= PRIME_BOUND_MAX, "mode" may
-    be omitted and takes no other value, and no other keys are accepted."""
+    decimal strings, the last (leading) one nonzero, b is a JSON bool,
+    2 <= N <= PRIME_BOUND_MAX, "mode" may be omitted and takes no other value,
+    and no other keys are accepted."""
     if not isinstance(obj, dict):
         raise InputError("case file must contain a JSON object")
     _check_keys(obj, CASE_KEYS, "the case")
@@ -195,11 +195,13 @@ def parse_case(obj) -> CaseInput:
         coeffs = rf["poly"]
         if not isinstance(coeffs, list) or not coeffs:
             raise InputError('"poly" must be a non-empty coefficient list')
-        poly = IntPolynomial(tuple(_coefficient(c) for c in coeffs))
+        coeffs = tuple(_coefficient(c) for c in coeffs)
+        if coeffs[-1] == 0:
+            raise InputError('the last "poly" coefficient, the leading one, must not be 0')
         flag = rf.get("torsor_nontrivial", False)
         if not isinstance(flag, bool):
             raise InputError(f'"torsor_nontrivial" must be true or false, got {flag!r}')
-        factors.append(FactorInput(poly, flag))
+        factors.append(FactorInput(IntPolynomial(coeffs), flag))
     prime_bound = obj.get("prime_bound", 1000)
     if (
         not isinstance(prime_bound, int)
@@ -652,11 +654,11 @@ def _cross_hom_dims(modules, prod_group):
 # bundled audits
 
 
-def audit_example_1_odd(l: int) -> dict:
-    """Odd-prime slice of the first bundled case: Sp(4, F_l) hypotheses at l = 3.
-    The order and Hom(Sp, F_l) come from one stabiliser chain."""
-    if l != 3:
-        raise InputError("the odd audit is desk-bounded to l = 3")
+def audit_example_1_odd() -> dict:
+    """Odd-prime slice of the first bundled case: Sp(4, F_l) hypotheses at l = 3,
+    the desk-bounded slice.  The order and Hom(Sp, F_l) come from one
+    stabiliser chain."""
+    l = 3
     sp = symplectic_group(4, l)
     chain = stabiliser_chain(sp)
     taut = GModule(sp, 4, l, tuple(affine(s, sp.blocks[0])[0] for s in sp.generators))
@@ -736,8 +738,7 @@ def audit_example_3_desk() -> dict:
         "h1_a7_standard": h1_dim(m_a7),
     }
     model = build_nikulin_lattice(3)
-    p = torsor_factor_group(m_s7, True)
-    p_group = direct_product(p)
+    p_group = torsor_factor_group(m_s7, True)
     eq = equivariant_lattice(model, p_group, [True])
     vmod = eq.factor_modules[0]
     rec["torsor_group_order"] = p_group.order()

@@ -8,6 +8,7 @@ spin-up, the chain's sift), its docstring says so.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 
@@ -563,11 +564,10 @@ def ddf_cycle_type(coeffs, p):
     """Degrees of the irreducible factors of f mod p (sorted tuple), or
     kummer.galois.RAMIFIED: gcd(f, f') for ramification, then
     gcd(rem, x^{p^k} - x) with x^{p^k} from a fresh powmod at every k."""
-    from kummer.errors import BadPrime
     from kummer.galois import RAMIFIED
 
     if coeffs[-1] % p == 0:
-        raise BadPrime(f"{p} divides the leading coefficient")
+        raise ValueError(f"{p} divides the leading coefficient")
     if is_ramified_by_gcd(coeffs, p):
         return RAMIFIED
     degrees = []
@@ -650,10 +650,37 @@ def mat_inverse(rows):
 
 
 def exponent(group):
-    """The lcm of the element orders of an enumerated group."""
-    import math
+    """The lcm of the element orders of a group, by powering each element."""
+    from kummer.groups import mul
 
-    return math.lcm(*set(group.element_orders()))
+    orders = set()
+    for x in group.enumerate().elements:
+        n, y = 1, x
+        while y != group.identity():
+            y, n = mul(y, x), n + 1
+        orders.add(n)
+    return math.lcm(*orders)
+
+
+def scan_cycle_type(f, p):
+    """The cycle type of f mod p, p not dividing lc(f), as frobenius_scan yields it."""
+    from kummer.galois import discriminant, frobenius_scan
+
+    return next(frobenius_scan(f, discriminant(f), (p,)))[1]
+
+
+def poly_mul(f, g):
+    """f * g for IntPolynomials, by schoolbook convolution."""
+    out = [0] * (f.degree + g.degree + 1)
+    for (i, x), (j, y) in product(enumerate(f.coefficients), enumerate(g.coefficients)):
+        out[i + j] += x * y
+    return type(f)(out)
+
+
+def shifted(f, k):
+    """f(x + k) for an IntPolynomial, by the binomial theorem."""
+    c, n = f.coefficients, range(len(f.coefficients))
+    return type(f)([sum(c[i] * math.comb(i, j) * k ** (i - j) for i in n[j:]) for j in n])
 
 
 def exceptional_intersections(g):
@@ -751,8 +778,6 @@ class TwoPassChain:
     ``_sift`` with the engine, not the bookkeeping of marked pairs."""
 
     def __init__(self, g, base, strong):
-        import math
-
         from kummer.groups import _ID, _close, _schreier, _table, _unit
 
         k = self.ngens = len(g.generators)

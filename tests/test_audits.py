@@ -1,6 +1,3 @@
-import pytest
-
-from kummer.errors import InputError
 from kummer.pipeline import (
     audit_example_1_odd,
     audit_example_2_goursat,
@@ -9,18 +6,14 @@ from kummer.pipeline import (
 
 
 def test_audit_example_1():
-    rec = audit_example_1_odd(3)
+    rec = audit_example_1_odd()
+    assert rec["l"] == 3
     assert rec["sp4_order_enumerated"] == 51840
     assert rec["sp4_order_formula"] == 51840
     assert rec["psp4_order_formula"] == 25920
     assert rec["has_index_l_normal_subgroup"] is False
     assert rec["tautological_module_absolutely_simple"] is True
     assert rec["supports_hypotheses"] is True
-
-
-def test_audit_example_1_rejects_l2():
-    with pytest.raises(InputError):
-        audit_example_1_odd(2)
 
 
 def test_audit_example_2():

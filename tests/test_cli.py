@@ -88,6 +88,12 @@ def test_strict_case_schema_exit_one(tmp_path, capsys):
     code, data = run_cli(["--input", str(flag)], tmp_path)
     assert code == 1 and data is None
     assert capsys.readouterr().err.startswith('input error: "mode" must be "certify"')
+    # a trailing 0 is refused, not trimmed into x^5 - x + 1
+    trailing = {"poly": ["1", "-1", "0", "0", "0", "1", "0", "0"], "torsor_nontrivial": True}
+    flag.write_text(json.dumps({"factors": [trailing]}))
+    code, data = run_cli(["--input", str(flag)], tmp_path)
+    assert code == 1 and data is None
+    assert "leading" in capsys.readouterr().err
     # the --prime-bound override goes through the same bound as the file
     code, data = run_cli(["--input", str(CASES / "example1.json"), "--prime-bound", "1000001"], tmp_path)
     assert code == 1 and data is None

@@ -1,4 +1,8 @@
 import itertools
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from kummer.disjoint import (
 )
 from kummer.errors import InputMismatch
 from kummer.galois import GaloisCertificate, IntPolynomial, certify_galois, disc_is_square, discriminant
+from oracles import shifted
 
 X5 = IntPolynomial((1, -1, 0, 0, 0, 1))
 X3 = IntPolynomial((-1, -1, 0, 1))
@@ -42,6 +47,24 @@ def test_squarefree_kernel_edge_cofactors(monkeypatch):
     # a square of a prime within trial division never reaches Pollard rho
     monkeypatch.setattr(disjoint, "pollard_rho", None)
     assert squarefree_kernel(9) == ((), 1) and squarefree_kernel(2 * 49) == ((2,), 1)
+
+
+def test_a_wide_composite_cofactor_withholds_within_a_minute(tmp_path):
+    # disc(x^5 + x + 10^200 + 1) leaves an 803-digit composite after trial
+    # division; rho's rounds shrink with its width, so the class is undecided
+    # and stage 2 withholds in well under a second, not after minutes
+    case = tmp_path / "wide.json"
+    case.write_text(json.dumps({"factors": [{"poly": [str(10**200 + 1), "1", "0", "0", "0", "1"]}]}))
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "PATH": "/usr/bin:/bin"}
+    out = subprocess.run(
+        [sys.executable, "-m", "kummer.cli", "--input", str(case)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    report = json.loads(out.stdout)
+    assert report["conclusions"]["withheld_because"] == ["linear_disjointness"]
+    details = report["hypotheses"][1]["details"]
+    assert details["verdict"] == "HeuristicOnly" and details["reason"].startswith("cannot split cofactor")
 
 
 def test_a_square_discriminant_has_the_trivial_class():
@@ -166,7 +189,7 @@ def test_frobenius_identical_near_one():
 
 
 def test_frobenius_shift_near_one():
-    score = frobenius_joint_statistics(X5, X5.shift(1), 1000)
+    score = frobenius_joint_statistics(X5, shifted(X5, 1), 1000)
     assert score > 0.5
 
 

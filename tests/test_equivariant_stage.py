@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummer import pipeline
+from kummer import pipeline, reps
 from kummer.cohomology import validate_module
 from kummer.errors import ActionMismatch, EngineError
 from kummer.galois import IntPolynomial
@@ -284,29 +284,31 @@ def test_h1_pi1_of_a_direct_product_is_the_sum_over_its_factors(factors):
     assert all(perm[0] == 0 for perm in whole) == fixes0
 
 
-def record_arguments(monkeypatch, name):
+def record_arguments(monkeypatch, module, name):
     calls = []
-    real = getattr(pipeline, name)
+    real = getattr(module, name)
 
     def recording(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(pipeline, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 def test_the_verdict_path_acts_with_one_factor_group_at_a_time(monkeypatch):
     # stage 5 builds no product of the P_i: each one acts on its own one
-    # F_2 block of 2^dim points
-    acting = record_arguments(monkeypatch, "point_permutations")
-    products = record_arguments(monkeypatch, "direct_product")
+    # F_2 block of 2^dim points; the one product on the verdict path, stage
+    # 4's in reps, is of the G_i, which carry no F_2 block
+    acting = record_arguments(monkeypatch, pipeline, "point_permutations")
+    products = record_arguments(monkeypatch, reps, "direct_product")
     for degrees, kinds, flags in SIGNATURES:
         _, modules = _stage_inputs(degrees, kinds, flags)
         pipeline._equivariant_stage(tuple(zip(degrees, kinds, flags)), modules)
     for name in ("example1", "two_jacobians"):
         assert run_case(parse_case(json.loads((CASES / f"{name}.json").read_text()))).asserted
-    assert products == []
+    assert not hasattr(pipeline, "direct_product")
+    assert all(not group.blocks for groups in products for group in groups)
     assert len(acting) > len(SIGNATURES)
     assert all(len(group.blocks) == 1 for group, in acting), [g.blocks for g, in acting]
 

@@ -14,6 +14,7 @@ from kummer.errors import FactorBudgetExceeded
 from kummer.galois import IntPolynomial
 from kummer.groups import FiniteGroup
 from kummer.pipeline import CaseInput, FactorInput, run_case
+from oracles import shifted
 from test_equivariant_stage import SIGNATURES
 
 # polynomials with Galois group S_d or A_d, distinct ones per degree
@@ -239,7 +240,7 @@ def test_two_passes_certify_once_per_key_and_factor_once_per_discriminant(monkey
 
 def test_a_shifted_cubic_pair_factors_its_discriminant_once(monkeypatch):
     f = IntPolynomial(POLYS[3, "S"][0])
-    case = CaseInput((FactorInput(f, False), FactorInput(f.shift(3), False)), prime_bound=500)
+    case = CaseInput((FactorInput(f, False), FactorInput(shifted(f, 3), False)), prime_bound=500)
     factorings = record_calls(monkeypatch, disjoint, "squarefree_kernel")
     report = run_case(case)
     assert report.hypotheses[0]["passed"]
@@ -291,7 +292,7 @@ X3 = IntPolynomial(POLYS[3, "S"][0])  # x^3 - x - 1
     [
         signature_case((3, 5), ("S", "S"), (True, False)).factors,
         # one splitting field: passing stage 2 would assert Picard rank 18
-        (FactorInput(X3, False), FactorInput(X3.shift(1), False)),
+        (FactorInput(X3, False), FactorInput(shifted(X3, 1), False)),
     ],
     ids=["s3-s5", "same-field-cubics"],
 )

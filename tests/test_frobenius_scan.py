@@ -17,18 +17,17 @@ from hypothesis import strategies as st
 
 from kummer import galois
 from kummer.disjoint import DiscClass, disc_class, squarefree_kernel
-from kummer.errors import BadPrime, GaloisCheckFailed, InputError, ZeroInput
+from kummer.errors import GaloisCheckFailed, InputError, ZeroInput
 from kummer.galois import (
     RAMIFIED,
     IntPolynomial,
     certify_galois,
-    cycle_type_mod_p,
     discriminant,
     frobenius_scan,
     primes_up_to,
 )
 
-from oracles import _pdivmod, ddf_cycle_type, is_ramified_by_gcd
+from oracles import _pdivmod, ddf_cycle_type, is_ramified_by_gcd, poly_mul, scan_cycle_type
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_PRIMES = primes_up_to(60)
@@ -78,11 +77,9 @@ def test_cycle_types_match_the_oracle_ddf(poly, sampled):
     f = IntPolynomial(tuple(low) + (lead,))
     for p in SMALL_PRIMES + sorted(set(sampled)) + list(NEAR_MILLION):
         if lead % p == 0:
-            with pytest.raises(BadPrime):
-                cycle_type_mod_p(f, p)
             continue
         expected = ddf_cycle_type(f.coefficients, p)
-        assert cycle_type_mod_p(f, p) == expected, (f, p)
+        assert scan_cycle_type(f, p) == expected, (f, p)
         # ramification from disc mod p equals the gcd(f, f') test
         assert (discriminant(f) % p == 0) == is_ramified_by_gcd(f.coefficients, p), (f, p)
         assert (expected is RAMIFIED) == is_ramified_by_gcd(f.coefficients, p)
@@ -154,6 +151,7 @@ def _corrupt_traces_at(prime):
         ([0, 1], 11, 5),  # an odd number of roots of exact degree 2
         ([3, 0], 11, 5),  # a negative count of quadratic factors
         ([0, 0, 2], 13, 7),  # two roots of exact degree 3
+        ([0, 4], 11, 5),  # two quadratic factors leave 1 <= d/2
     ],
 )
 def test_inconsistent_traces_raise(traces, p, d):
@@ -187,12 +185,8 @@ def test_reconstruction_stays_lazy_past_the_last_witness(monkeypatch):
 
 
 def test_cycle_type_small_inputs_keep_their_answers():
-    assert cycle_type_mod_p(IntPolynomial((1, 0, 1)), 3) == (2,)
-    assert cycle_type_mod_p(IntPolynomial((3, 2)), 7) == (1,)
-    # a constant has a vanishing derivative, as before
-    assert cycle_type_mod_p(IntPolynomial((5,)), 3) is RAMIFIED
-    with pytest.raises(BadPrime):
-        cycle_type_mod_p(IntPolynomial((5,)), 5)
+    assert scan_cycle_type(IntPolynomial((1, 0, 1)), 3) == (2,)
+    assert scan_cycle_type(IntPolynomial((3, 2)), 7) == (1,)
 
 
 def _oracle_scan(f, disc, primes):
@@ -257,10 +251,10 @@ def test_ddf_internal_checks_raise_typed_errors(monkeypatch):
 
     monkeypatch.setattr(galois, "_pgcd", wrong_second_gcd)
     with pytest.raises(GaloisCheckFailed):
-        cycle_type_mod_p(f, 2)
+        scan_cycle_type(f, 2)
     monkeypatch.setattr(galois, "_pgcd", lambda a, b, p: [1, 1])  # x + 1 divides nothing here
     with pytest.raises(GaloisCheckFailed):
-        cycle_type_mod_p(f, 2)
+        scan_cycle_type(f, 2)
 
 
 def test_soundness_checks_are_typed_errors(monkeypatch):
@@ -276,7 +270,7 @@ def test_soundness_checks_are_typed_errors(monkeypatch):
         DiscClass((3, 3), -1)
     with pytest.raises(ZeroInput):
         squarefree_kernel(0)
-    inseparable = IntPolynomial((1, 2, 1)) * IntPolynomial((0, 1))
+    inseparable = poly_mul(IntPolynomial((1, 2, 1)), IntPolynomial((0, 1)))
     with pytest.raises(ZeroInput):
         disc_class(discriminant(inseparable))
     monkeypatch.setattr(galois, "resultant", lambda f, g: 7)

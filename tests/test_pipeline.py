@@ -19,6 +19,7 @@ from kummer.pipeline import (
     run_case,
 )
 from kummer.reps import GModule
+from oracles import shifted
 
 X5 = IntPolynomial((1, -1, 0, 0, 0, 1))
 X3 = IntPolynomial((-1, -1, 0, 1))
@@ -268,6 +269,8 @@ GOOD_FACTOR = {"poly": ["1", "-1", "0", "0", "0", "1"], "torsor_nontrivial": Tru
         # certify is the only mode
         {"factors": [GOOD_FACTOR], "mode": "heuristic"},
         {"factors": [GOOD_FACTOR], "mode": None},
+        # the last coefficient leads: a trailing 0 must not drop to a lower degree
+        {"factors": [{"poly": ["1", "-1", "0", "0", "0", "1", "0", "0"], "torsor_nontrivial": True}]},
     ],
 )
 def test_parse_case_is_strict(obj):
@@ -306,7 +309,7 @@ def test_an_undecided_alternating_pair_withholds_below_a_raised_lattice_cap(monk
     a5 = IntPolynomial((16, 20, 0, 0, 0, 1))
     monkeypatch.setattr(picard, "EQUIVARIANT_G_CAP", 4)
     monkeypatch.setattr(pipeline, "EQUIVARIANT_G_CAP", 4)
-    report = run_case(CaseInput((FactorInput(a5, False), FactorInput(a5.shift(2), False)), 500))
+    report = run_case(CaseInput((FactorInput(a5, False), FactorInput(shifted(a5, 2), False)), 500))
     dis = report.hypotheses[1]
     assert dis["name"] == "linear_disjointness" and dis["passed"] is False
     assert dis["details"]["verdict"] == "HeuristicOnly"
@@ -327,7 +330,8 @@ def over_budget(d):
 
 pipeline.disc_class = over_budget
 x3 = IntPolynomial((-1, -1, 0, 1))
-report = run_case(CaseInput((FactorInput(x3, False), FactorInput(x3.shift(1), False))))
+x3_shifted = IntPolynomial((-1, 2, 3, 1))  # x3(x + 1)
+report = run_case(CaseInput((FactorInput(x3, False), FactorInput(x3_shifted, False))))
 print(json.dumps([sys.flags.optimize, report.asserted, report.to_dict()]))
 """
 

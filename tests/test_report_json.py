@@ -59,7 +59,7 @@ def test_pinned_reports_match_json_dumps(key, case, fault):
 @pytest.mark.parametrize(
     "name,audit",
     [
-        ("example1", lambda: audit_example_1_odd(3)),
+        ("example1", audit_example_1_odd),
         ("example2", audit_example_2_goursat),
         ("example3", audit_example_3_desk),
     ],

@@ -234,7 +234,7 @@ FROZEN = {
     "IntPolynomial": (lambda: IntPolynomial((1, -1, 0, 0, 0, 1, 0)), lambda: X3),
     "GaloisCertificate": (
         lambda: GaloisCertificate(3, "SymmetricGroup", ((5, (1, 2), "odd"),), False, 100, -23),
-        lambda: GaloisCertificate(3, "Unknown", (), False, 100, -23, "exhausted"),
+        lambda: GaloisCertificate(3, "Unknown", (), False, 100, -23),
     ),
     "DiscClass": (lambda: DiscClass((19, 151), 1), lambda: DiscClass((19, 151), -1)),
     "DisjointnessCertificate": (
