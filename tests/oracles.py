@@ -649,17 +649,17 @@ def mat_inverse(rows):
     return inv
 
 
-def exponent(group):
-    """The lcm of the element orders of a group, by powering each element."""
+def element_orders(group):
+    """Sorted orders of a group's elements, by powering each element."""
     from kummer.groups import mul
 
-    orders = set()
+    orders = []
     for x in group.enumerate().elements:
         n, y = 1, x
         while y != group.identity():
             y, n = mul(y, x), n + 1
-        orders.add(n)
-    return math.lcm(*orders)
+        orders.append(n)
+    return sorted(orders)
 
 
 def scan_cycle_type(f, p):

@@ -226,6 +226,23 @@ def test_rho_rounds_shrink_with_the_square_of_the_width(monkeypatch, n, per_seed
     assert rounds == 5 * per_seed
 
 
+def test_a_wide_cofactor_hides_a_30_bit_prime_and_withholds():
+    from kummer.disjoint import squarefree_kernel
+    from kummer.errors import FactorBudgetExceeded
+
+    # 2^30 - 35 is prime and seed c = 1 first meets it at round 32,676, well
+    # inside RHO_BUDGET; next to the 970-bit prime 2^970 + 459 the cofactor
+    # has 1,000 bits, so each seed gets 6,553 rounds and none reaches it
+    p, wide = 2**30 - 35, 2**970 + 459
+    assert is_probable_prime(p) and is_probable_prime(wide)
+    # the rho sequence mod p is the same whatever the other factor, so a
+    # 119-bit cofactor splits where the 1,000-bit one withholds
+    assert pollard_rho(p * (2**89 + 29)) == p
+    assert pollard_rho(p * wide) is None
+    with pytest.raises(FactorBudgetExceeded):
+        squarefree_kernel(p * wide)
+
+
 def test_soundness_unknown_when_bound_tiny():
     cert = certify_galois(X5, 2)
     assert cert.verdict == "Unknown"

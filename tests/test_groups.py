@@ -31,7 +31,7 @@ from kummer.lattice import Lattice
 from kummer.pipeline import audit_example_1_odd, audit_example_2_goursat
 
 from oracles import DirectElement as ODirect
-from oracles import exponent
+from oracles import element_orders
 from oracles import FpMat
 from oracles import Perm as OPerm
 from oracles import SemidirectElement as OSemidirect
@@ -114,7 +114,9 @@ def test_semidirect_zero_dim_isomorphic():
     g0 = semidirect(0, m.group, [[] for _ in m.group.generators])
     base = m.group
     assert g0.order() == base.order()
-    assert exponent(g0) == exponent(base)
+    # the sorted orders tell S_3 (1,2,2,2,3,3) from C_6 (1,2,3,3,6,6), which
+    # order and exponent cannot
+    assert element_orders(g0) == element_orders(base)
 
 
 def test_semidirect_dimension_mismatch():
