@@ -15,29 +15,12 @@ def mat_vec(a, v, p):
 
 
 def rref(rows, p):
-    """Reduced row echelon form; returns (rows, pivot_cols)."""
-    work = [[x % p for x in r] for r in rows if any(x % p for x in r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    """Reduced row echelon form, the fully reduced basis of the rows'
+    FpEchelon; returns (rows, pivot_cols)."""
+    ech = FpEchelon(p)
+    for r in rows:
+        ech.add(r)
+    return ech.reduced()
 
 
 def rank(rows, p):
@@ -60,26 +43,42 @@ def kernel_basis(rows, ncols, p):
 
 
 class FpEchelon:
-    """Incremental row-space rank over F_p."""
+    """Incremental row-space basis over F_p; `reduced` is its rref."""
 
-    def __init__(self, ncols, p):
-        self.ncols = ncols
+    def __init__(self, p):
         self.p = p
-        self._rows = {}  # pivot col -> normalised row
+        self._rows = {}  # pivot col -> normalised row, in pivot order
 
     def add(self, row):
         p = self.p
         row = [x % p for x in row]
-        for c, r in sorted(self._rows.items()):
-            if row[c]:
-                f = row[c]
+        for c, r in self._rows.items():
+            f = row[c]
+            if f:
                 row = [(x - f * y) % p for x, y in zip(row, r)]
         piv = next((c for c, x in enumerate(row) if x), None)
         if piv is None:
             return False
         inv = pow(row[piv], -1, p)
         self._rows[piv] = [x * inv % p for x in row]
+        self._rows = dict(sorted(self._rows.items()))
         return True
+
+    def reduced(self):
+        """(rows, pivot_cols) of the reduced row echelon form, in pivot order:
+        each row, last pivot first, clears the later pivot columns with the
+        rows already done, which are zero at every pivot column but their own."""
+        p = self.p
+        done = {}
+        for c in sorted(self._rows, reverse=True):
+            row = self._rows[c]
+            for q, r in done.items():
+                f = row[q]
+                if f:
+                    row = [(x - f * y) % p for x, y in zip(row, r)]
+            done[c] = row
+        pivots = sorted(done)
+        return [done[c] for c in pivots], pivots
 
     @property
     def rank(self):

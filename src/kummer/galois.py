@@ -32,7 +32,8 @@ from .smith import bareiss_det
 
 
 class IntPolynomial(Frozen):
-    """Univariate polynomial over Z, coefficients constant-first."""
+    """Univariate polynomial over Z, coefficients constant-first; the last
+    one is nonzero unless it is the only one."""
 
     __slots__ = ("coefficients",)
 
@@ -43,8 +44,8 @@ class IntPolynomial(Frozen):
                 raise InputError(f"coefficient {c!r} is not an integer")
         if not coeffs:
             raise InputError("a polynomial needs at least one coefficient")
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        if len(coeffs) > 1 and coeffs[-1] == 0:
+            raise InputError(f"leading coefficient 0 in {coeffs}")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -145,35 +146,25 @@ def _ptrim(f):
 
 
 def _pdivmod(a, b, p):
-    a = list(a)
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * binv % p
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return q, _ptrim(a[: len(b) - 1])
-
-
-def _prem(a, b, p):
-    """a mod b over F_p, skipping the quotient and the top coefficient each step cancels."""
+    """(quotient, remainder) of a by b over F_p; each step leaves alone the
+    top coefficient it cancels, as no later step reads it."""
     a = list(a)
     n = len(b) - 1
     binv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - n)
     for i in range(len(a) - 1 - n, -1, -1):
         c = a[i + n] * binv % p
         if c:
+            q[i] = c
             for j in range(n):
                 a[i + j] = (a[i + j] - c * b[j]) % p
-    return _ptrim(a[:n])
+    return q, _ptrim(a[:n])
 
 
 def _pgcd(a, b, p):
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        a, b = b, _prem(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
@@ -217,60 +208,11 @@ def _fold_rows(monic, m):
     return fold
 
 
-def _cycle_type(monic, p):
-    """Distinct-degree factorisation of a squarefree monic f over F_p, given
-    by its d >= 1 coefficients below the leading 1; returns the sorted degrees.
-
-    x^p mod f comes from one left-to-right square-and-multiply, in which a
-    1-bit multiplies by x as a shift plus one fold.  Frobenius is F_p-linear,
-    so x^{p^k} = Q x^{p^{k-1}} where Q has rows x^{ip} mod f: one d x d product
-    per further degree, not one powmod.  gcd(rem, x^{p^k} - x) peels off the
-    product of the degree-k factors (rem divides f, so reducing mod f is
-    enough); cycle types only need degrees, so no equal-degree splitting."""
-    d = len(monic)
-    rem = monic + [1]
-    degrees = []
-    k = 0
-    while len(rem) > 1:
-        k += 1
-        n = len(rem) - 1
-        if 2 * k > n:
-            degrees.append(n)
-            break
-        if k == 1:
-            fold = _fold_rows(monic, p)
-            h = [0, 1] + [0] * (d - 2)  # x, the leading bit of p
-            for bit in bin(p)[3:]:
-                h = _mulmod(h, h, fold, p)
-                if bit == "1":
-                    h = _times_x(h, fold[0], p)
-            xp = h
-        else:
-            if k == 2:
-                rows = [[1] + [0] * (d - 1), xp]
-                while len(rows) < d:
-                    rows.append(_mulmod(rows[-1], xp, fold, p))
-                cols = list(zip(*rows))
-            h = [sum(map(operator.mul, h, col)) % p for col in cols]
-        hx = list(h)
-        hx[1] = (hx[1] - 1) % p  # h(x) - x
-        g = _pgcd(rem, hx, p)
-        if len(g) > 1:
-            dk = len(g) - 1
-            if dk % k:
-                raise GaloisCheckFailed(f"degree-{k} part of degree {dk} mod {p}")
-            degrees.extend([k] * (dk // k))
-            rem, r = _pdivmod(rem, g, p)
-            if r:
-                raise GaloisCheckFailed(f"gcd does not divide the remaining factor mod {p}")
-    return tuple(sorted(degrees))
-
-
-def _frobenius_traces(coeffs, lanes):
-    """[tr(Q^k) mod M for k = 1 .. d // 2] for f of degree d with the given
-    coefficients, where M is the product of the distinct primes in lanes,
-    none dividing lc(f), and Q, in each prime p's CRT lane, is the matrix of
-    Frobenius on F_p[x]/(f): its rows are x^{ip} mod f.
+def _frobenius_matrix(coeffs, lanes):
+    """Q over Z/M for f of degree d with the given coefficients, where M is
+    the product of the distinct primes in lanes, none dividing lc(f): in
+    each prime p's CRT lane, Q is the matrix of Frobenius on F_p[x]/(f), and
+    its rows are x^{ip} mod f, i = 0 .. d - 1.
 
     Every operation is on (Z/M)[x]/(f), so one big-int product serves all the
     lanes.  x^p comes from one left-to-right ladder over the bits of the
@@ -292,6 +234,15 @@ def _frobenius_traces(coeffs, lanes):
     q = [[1] + [0] * (d - 1), h][:d]
     while len(q) < d:
         q.append(_mulmod(q[-1], h, fold, m))
+    return q
+
+
+def _frobenius_traces(coeffs, lanes):
+    """[tr(Q^k) mod M for k = 1 .. d // 2], with Q and M as in
+    _frobenius_matrix."""
+    m = math.prod(lanes)
+    q = _frobenius_matrix(coeffs, lanes)
+    d = len(coeffs) - 1
     # tr(Q^k) = sum_ij (Q^a)_ij (Q^b)_ji, a = ceil(k/2), b = floor(k/2)
     powers = [None, q]
     traces = []
@@ -306,6 +257,42 @@ def _frobenius_traces(coeffs, lanes):
         else:
             traces.append(sum(r[i] for i, r in enumerate(q)) % m)
     return traces
+
+
+def _cycle_type(coeffs, p):
+    """Distinct-degree factorisation over F_p of f, given by its coefficients,
+    squarefree mod p with p not dividing lc(f); returns the sorted degrees.
+
+    Q, whose rows are x^{ip} mod f, is _frobenius_matrix with the one lane
+    p, the ladder that the trace batches run.  Frobenius is F_p-linear, so
+    x^{p^k} = x^{p^{k-1}} Q: one vector-matrix product per degree, not one
+    powmod.  gcd(rem, x^{p^k} - x) peels off the product of the degree-k
+    factors (rem divides f, so reducing mod f is enough); cycle types only
+    need degrees, so no equal-degree splitting."""
+    cols = list(zip(*_frobenius_matrix(coeffs, [p])))
+    rem = [c % p for c in coeffs]
+    h = [0, 1] + [0] * (len(coeffs) - 3)  # x
+    degrees = []
+    k = 0
+    while len(rem) > 1:
+        k += 1
+        n = len(rem) - 1
+        if 2 * k > n:
+            degrees.append(n)
+            break
+        h = [sum(map(operator.mul, h, col)) % p for col in cols]
+        hx = list(h)
+        hx[1] = (hx[1] - 1) % p  # h(x) - x
+        g = _pgcd(rem, hx, p)
+        if len(g) > 1:
+            dk = len(g) - 1
+            if dk % k:
+                raise GaloisCheckFailed(f"degree-{k} part of degree {dk} mod {p}")
+            degrees.extend([k] * (dk // k))
+            rem, r = _pdivmod(rem, g, p)
+            if r:
+                raise GaloisCheckFailed(f"gcd does not divide the remaining factor mod {p}")
+    return tuple(sorted(degrees))
 
 
 def _cycle_type_from_traces(traces, p, d):
@@ -348,8 +335,7 @@ def _scan_batch(coeffs, disc, batch, lanes):
         if disc % p == 0:
             yield p, RAMIFIED
         elif p <= d:
-            inv = pow(coeffs[-1], -1, p)
-            yield p, _cycle_type([c * inv % p for c in coeffs[:-1]], p)
+            yield p, _cycle_type(coeffs, p)
         else:
             yield p, _cycle_type_from_traces(traces, p, d)
 
@@ -520,15 +506,17 @@ def certify_galois(f: IntPolynomial, prime_bound: int = 1000) -> GaloisCertifica
 # ---------------------------------------------------------------------------
 # integer factorisation helpers (for discriminant classes)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 RHO_BUDGET = 400_000
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below 3.3 * 10^24; fixed bases above."""
+    """Miller-Rabin to the prime bases 2 .. 41, deterministic below
+    psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, Math.
+    Comp. 86, 2017) and probabilistic from psi_13 up."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -26,10 +26,6 @@ class F2Matrix:
             if any(r & ~mask for r in self.rows):
                 raise DimensionMismatch(f"a row has a bit beyond column {ncols}")
 
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
     def __eq__(self, other):
         return (
             isinstance(other, F2Matrix)
@@ -46,30 +42,15 @@ class F2Matrix:
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form of packed rows.
+    """Reduced row echelon form of packed rows, the fully reduced basis of
+    their F2Echelon.
 
     Returns (echelon_rows, pivot_cols); echelon_rows has one row per pivot.
     """
-    work = [r for r in rows if r]
-    out = []
-    pivots = []
-    for c in range(ncols):
-        mask = 1 << c
-        src = None
-        for i, r in enumerate(work):
-            if r & mask:
-                src = i
-                break
-        if src is None:
-            continue
-        piv = work.pop(src)
-        work = [r ^ piv if r & mask else r for r in work]
-        out = [r ^ piv if r & mask else r for r in out]
-        out.append(piv)
-        pivots.append(c)
-        if not work:
-            break
-    return out, pivots
+    ech = F2Echelon(ncols)
+    for r in rows:
+        ech.add(r)
+    return ech.reduced()
 
 
 def f2_rank_kernel(m: F2Matrix):
@@ -129,6 +110,26 @@ class F2Echelon:
 
     def basis_rows(self):
         return sorted(self._rows.values())
+
+    def reduced(self):
+        """(rows, pivot_cols) of the reduced row echelon form, in pivot order.
+
+        A row's pivot is its lowest bit, so the rows above it in pivot order
+        are done first: each then clears its other pivot bits with one XOR per
+        bit, and the rows it XORs in carry no pivot bit but their own."""
+        done = {}
+        mask = 0
+        for p in sorted(self._rows, reverse=True):
+            row = self._rows[p]
+            hits = row & mask
+            while hits:
+                q = hits & -hits
+                row ^= done[q]
+                hits ^= q
+            done[p] = row
+            mask |= p
+        pivots = sorted(done)
+        return [done[p] for p in pivots], [p.bit_length() - 1 for p in pivots]
 
 
 def matmul_rows(a_rows, b_rows):

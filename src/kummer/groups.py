@@ -403,22 +403,19 @@ def has_index_l_normal_subgroup(g: FiniteGroup, l: int) -> bool:
     return bool(stabiliser_chain(g).hom_basis(l))
 
 
-def semidirect(v_dim: int, g: FiniteGroup, action) -> FiniteGroup:
-    """Semidirect product F_2^v_dim x| g for a given F_2 action of g.
-
-    ``action`` is either a G-module object over F_2 (with generator_matrices
-    aligned to g.generators) or a plain list of such matrices, as 0/1 row
-    lists.  Generators of the result are the basis translations followed by
-    the lifted generators of g.
+def semidirect(module) -> FiniteGroup:
+    """Semidirect product F_2^dim x| G of an F_2 G-module (its ``dim``,
+    ``group`` and ``bit_rows()``).  Generators of the result are the basis
+    translations followed by the lifted generators of G.
     """
-    mats = _action_rows(v_dim, g, action)
-    idrows = tuple(1 << i for i in range(v_dim))
-    gens = [(1 << i, g.identity(), idrows) for i in range(v_dim)]
-    gens += [(0, s, mats[j]) for j, s in enumerate(g.generators)]
-    order = g.known_order * (1 << v_dim) if g.known_order else None
+    dim, g = module.dim, module.group
+    idrows = tuple(1 << i for i in range(dim))
+    gens = [(1 << i, g.identity(), idrows) for i in range(dim)]
+    gens += [(0, s, rows) for s, rows in zip(g.generators, module.bit_rows())]
+    order = g.known_order * (1 << dim) if g.known_order else None
     if g.elements is not None and order is None:
-        order = len(g.elements) * (1 << v_dim)
-    return affine_extension(g, v_dim, gens, order, f"2^{v_dim} x| {g.name or 'G'}")
+        order = len(g.elements) * (1 << dim)
+    return affine_extension(g, dim, gens, order, f"2^{dim} x| {g.name or 'G'}")
 
 
 def affine_extension(g: FiniteGroup, dim: int, gens, known_order, name) -> FiniteGroup:
@@ -431,33 +428,6 @@ def affine_extension(g: FiniteGroup, dim: int, gens, known_order, name) -> Finit
         for v, s, rows in gens
     ]
     return FiniteGroup(els, known_order=known_order, name=name, blocks=[(0, dim, 2)])
-
-
-def _action_rows(v_dim, g, action):
-    """Normalise an action spec to packed F_2 rows per generator."""
-    if hasattr(action, "generator_matrices"):
-        if getattr(action, "l", 2) != 2:
-            raise DimensionMismatch("semidirect products need an F_2 action")
-        if getattr(action, "dim", v_dim) != v_dim:
-            raise DimensionMismatch(
-                f"action dimension {action.dim} != v_dim {v_dim}"
-            )
-        raw = action.generator_matrices
-    else:
-        raw = action
-    if len(raw) != len(g.generators):
-        raise DimensionMismatch("need one action matrix per generator")
-    mats = []
-    for m in raw:
-        rows = []
-        for r in m:
-            if len(r) != v_dim:
-                raise DimensionMismatch("action matrix has wrong shape")
-            rows.append(sum((x & 1) << i for i, x in enumerate(r)))
-        if len(rows) != v_dim:
-            raise DimensionMismatch("action matrix has wrong shape")
-        mats.append(tuple(rows))
-    return mats
 
 
 def direct_product(*groups) -> FiniteGroup:

@@ -161,31 +161,17 @@ def numerology(g: int, ns_rank: int):
 # equivariant structure
 
 
-def torsor_factor_group(module: GModule, nontrivial: bool, cocycle=None) -> FiniteGroup:
+def torsor_factor_group(module: GModule, nontrivial: bool) -> FiniteGroup:
     """Galois group of the torsor field for one factor, acting affinely.
 
     Nontrivial torsor: V x| G with one translation generator (the module is
-    simple, so its orbit spans) plus the lifted generators of G, optionally
-    twisted by an explicit cocycle value per generator.  Trivial torsor: the
-    linear lift of G alone.
+    simple, so its orbit spans) plus the lifted generators of G.  Trivial
+    torsor: the linear lift of G alone.
     """
     dim = module.dim
-    rows_per_gen = module.bit_rows()
-    ggens = module.group.generators
-    if cocycle is None:
-        cocycle = [0] * len(ggens)
-    cvals = []
-    for c in cocycle:
-        if isinstance(c, int):
-            cvals.append(c)
-        else:
-            cvals.append(sum((int(x) & 1) << i for i, x in enumerate(c)))
-    gens = []
+    gens = [(0, s, rows) for s, rows in zip(module.group.generators, module.bit_rows())]
     if nontrivial:
-        gens.append((1, module.group.identity(), tuple(1 << i for i in range(dim))))
-    elif any(cvals):
-        raise ActionMismatch("trivial torsor factors cannot carry a cocycle twist")
-    gens += [(cvals[j], s, rows_per_gen[j]) for j, s in enumerate(ggens)]
+        gens.insert(0, (1, module.group.identity(), tuple(1 << i for i in range(dim))))
     base_order = module.group.known_order
     if base_order is None and module.group.elements is not None:
         base_order = len(module.group.elements)

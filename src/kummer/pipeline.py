@@ -358,7 +358,7 @@ def run_case(case: CaseInput, force_fail=None) -> VerdictReport:
         "hypotheses": hypotheses,
         "equivariant_audit": audit,
         "conclusions": _conclusions(case.g, len(case.factors), failing),
-        "citations": _citations(),
+        "citations": _CITATIONS,
     }
     return VerdictReport(report_json(report), not failing)
 
@@ -615,9 +615,7 @@ def _conclusions(g, n, failing):
     return _fragment(conclusions)
 
 
-@lru_cache(maxsize=None)
-def _citations():
-    return _fragment(sorted(set(CITATIONS.values())))
+_CITATIONS = _fragment(sorted(set(CITATIONS.values())))
 
 
 def _case_echo(case):

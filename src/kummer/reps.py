@@ -195,7 +195,7 @@ def is_simple(m: GModule) -> bool:
 
 
 def _spins_to_full(v, mats, dim, l):
-    ech = fp.FpEchelon(dim, l)
+    ech = fp.FpEchelon(l)
     ech.add(v)
     queue = [v]
     while queue:

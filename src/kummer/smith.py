@@ -21,10 +21,6 @@ class ZMatrix:
         if any(len(r) != self.ncols for r in self.data):
             raise DimensionMismatch(f"rows of unequal lengths in a {self.nrows}-row matrix")
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"cannot multiply {self.ncols} columns by {other.nrows} rows")

@@ -16,7 +16,6 @@ def clear_pipeline_memo():
     pipeline._certificate.cache_clear()
     pipeline._disc_class.cache_clear()
     pipeline._conclusions.cache_clear()
-    pipeline._citations.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -710,6 +710,22 @@ def trivial_module(group, dim=1, l=2):
     return GModule(group, dim, l, tuple(eye for _ in group.generators))
 
 
+def twisted_torsor_group(module, cocycle):
+    """V x| G with the translation by e_0 first, then each generator s_j of G
+    lifted with the translation cocycle[j] (0/1 tuples): the group a
+    nontrivial torsor factor would have if its lifts carried a cocycle twist.
+    Built directly through groups.affine_extension."""
+    from kummer.groups import affine_extension
+
+    g, dim = module.group, module.dim
+    gens = [(1, g.identity(), tuple(1 << i for i in range(dim)))]
+    gens += [
+        (sum(b << i for i, b in enumerate(c)), s, rows)
+        for c, s, rows in zip(cocycle, g.generators, module.bit_rows())
+    ]
+    return affine_extension(g, dim, gens, g.order() << dim, f"2^{dim} x| {g.name or 'G'}")
+
+
 def invariant_alternating_form(m):
     """A nonzero G-invariant alternating bilinear form of a module, or None.
 

@@ -26,7 +26,7 @@ from kummer.reps import (
     zero_sum_module,
 )
 
-from oracles import brute_force_h1, trivial_module
+from oracles import brute_force_h1, trivial_module, twisted_torsor_group
 
 
 def test_h1_standard_s5_vanishes():
@@ -49,7 +49,7 @@ def test_h1_trivial_module_s4_is_hom_to_z2():
 
 def test_h1_semidirect_natural_module():
     m = standard_module(5, "S")
-    p = semidirect(4, m.group, m)
+    p = semidirect(m)
     eye = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     mats = [eye] * 4 + list(m.generator_matrices)
     pm = GModule(p, 4, 2, tuple(mats))
@@ -100,7 +100,7 @@ def test_cocycle_class_detection():
     # for P = V x| S5 acting on V via S5, the translation-part projection is a
     # cocycle with nonzero class (the unique one)
     m = standard_module(5, "S")
-    p = semidirect(4, m.group, m)
+    p = semidirect(m)
     eye = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     mats = [eye] * 4 + list(m.generator_matrices)
     pm = GModule(p, 4, 2, tuple(mats))
@@ -174,7 +174,7 @@ def test_cocycle_class_reuses_the_h1_harvest(monkeypatch):
     from kummer import cohomology
 
     m = standard_module(5, "S")
-    p = semidirect(4, m.group, m)
+    p = semidirect(m)
     eye = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     pm = GModule(p, 4, 2, tuple([eye] * 4 + list(m.generator_matrices)))
     tau = [affine(s, p.blocks[0])[1] for s in p.generators]
@@ -210,11 +210,10 @@ def _linear_part_module(p):
 
 
 def _oracle_case_modules():
-    from kummer.picard import torsor_factor_group
     from kummer.reps import product_factor_module
 
     s5 = standard_module(5, "S")
-    twisted = torsor_factor_group(s5, True, cocycle=[(1, 0, 1, 0), (0, 1, 1, 0)])
+    twisted = twisted_torsor_group(s5, [(1, 0, 1, 0), (0, 1, 1, 0)])
     return [
         s5,
         standard_module(5, "A"),
@@ -266,7 +265,7 @@ def _count_matmul_rows(monkeypatch):
 
 def test_harvest_multiplies_once_per_image_element_and_generator(monkeypatch):
     m = standard_module(5, "S")
-    pm = _linear_part_module(semidirect(4, m.group, m))
+    pm = _linear_part_module(semidirect(m))
     k = len(pm.group.generators)
     calls = _count_matmul_rows(monkeypatch)
     assert h1_dim(pm) == 1

@@ -321,7 +321,7 @@ def test_a_factoring_budget_raise_reaches_run_case(factors, monkeypatch):
 # ---------------------------------------------------------------------------
 # a warm report is assembled from memoized fragments, not encoded again
 
-FRAGMENT_MEMOS = ("_certificate", "_disc_class", "_signature_outcomes", "_conclusions", "_citations")
+FRAGMENT_MEMOS = ("_certificate", "_disc_class", "_signature_outcomes", "_conclusions")
 
 
 def _containers(value):

@@ -27,7 +27,7 @@ from kummer.galois import (
     primes_up_to,
 )
 
-from oracles import _pdivmod, ddf_cycle_type, is_ramified_by_gcd, poly_mul, scan_cycle_type
+from oracles import _pdivmod, _pgcd, ddf_cycle_type, is_ramified_by_gcd, poly_mul, scan_cycle_type
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_PRIMES = primes_up_to(60)
@@ -59,7 +59,9 @@ def test_remainder_step_matches_the_oracle_division(p, a, b):
     b = [x % p for x in b]
     if b[-1] == 0:
         b[-1] = 1
-    assert galois._prem(a, b, p) == _pdivmod(a, b, p)[1] == galois._pdivmod(a, b, p)[1]
+    # quotient and remainder, and the gcd is the oracle's monic one
+    assert galois._pdivmod(a, b, p) == _pdivmod(a, b, p)
+    assert galois._pgcd(a, b, p) == _pgcd(a, b, p)
 
 
 polys = st.integers(1, 7).flatmap(

@@ -226,6 +226,21 @@ def test_rho_rounds_shrink_with_the_square_of_the_width(monkeypatch, n, per_seed
     assert rounds == 5 * per_seed
 
 
+def test_psi12_is_composite_and_splits_into_its_two_primes():
+    from kummer.disjoint import squarefree_kernel
+
+    # psi_12 is the least strong pseudoprime to the twelve prime bases 2 .. 37
+    # (Sorenson and Webster, Math. Comp. 86, 2017); base 41 exposes it
+    psi12 = 318_665_857_834_031_151_167_461
+    p, q = 399_165_290_221, 798_330_580_441
+    assert p * q == psi12
+    assert not is_probable_prime(psi12)
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert squarefree_kernel(psi12) == ((p, q), 1)
+    # a base that is also a trial divisor is prime, not a witness against itself
+    assert [n for n in range(2, 60) if is_probable_prime(n)] == primes_up_to(59)
+
+
 def test_a_wide_cofactor_hides_a_30_bit_prime_and_withholds():
     from kummer.disjoint import squarefree_kernel
     from kummer.errors import FactorBudgetExceeded

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kummer.gf2 import (
     F2Echelon,
     F2Matrix,
@@ -9,7 +12,7 @@ from kummer.gf2 import (
     rref,
 )
 
-from oracles import exhaustive_f2_kernel, f2_from_rows, mat_inverse
+from oracles import _modp_rank, exhaustive_f2_kernel, f2_from_rows, mat_inverse
 
 
 def test_empty_matrix():
@@ -19,7 +22,7 @@ def test_empty_matrix():
 
 
 def test_identity_rank():
-    rank, ker = f2_rank_kernel(F2Matrix.identity(4))
+    rank, ker = f2_rank_kernel(F2Matrix(4, 4, [1 << i for i in range(4)]))
     assert rank == 4
     assert ker.nrows == 0
 
@@ -58,6 +61,29 @@ def test_rref_pivots_sorted():
     ech, pivots = rref(rows, 3)
     assert pivots == sorted(pivots)
     assert len(ech) == len(pivots) == 2
+
+
+packed_rows = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=9))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_rows)
+def test_rref_is_fully_reduced_and_spans_the_rows(shape):
+    ncols, rows = shape
+    ech, pivots = rref(rows, ncols)
+    assert pivots == sorted(set(pivots)) and len(ech) == len(pivots)
+    for i, (row, c) in enumerate(zip(ech, pivots)):
+        assert row & -row == 1 << c  # the pivot is the row's first entry
+        # and every other row is 0 in its column
+        assert [r >> c & 1 for r in ech] == [int(j == i) for j in range(len(ech))]
+
+    def unpack(r):
+        return [r >> j & 1 for j in range(ncols)]
+
+    assert len(pivots) == _modp_rank([unpack(r) for r in rows], 2)
+    assert _modp_rank([unpack(r) for r in rows + ech], 2) == len(pivots)
 
 
 def test_echelon_incremental_matches_rank():

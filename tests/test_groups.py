@@ -37,6 +37,7 @@ from oracles import Perm as OPerm
 from oracles import SemidirectElement as OSemidirect
 from oracles import oracle_bfs
 from oracles import TwoPassChain
+from oracles import trivial_module, twisted_torsor_group
 
 
 def standard_action_mats(d):
@@ -95,7 +96,7 @@ def test_semidirect_s3():
     from kummer.reps import standard_module
 
     m = standard_module(3, "S")
-    g = semidirect(2, m.group, m)
+    g = semidirect(m)
     assert g.order() == 4 * 6
 
 
@@ -103,7 +104,7 @@ def test_semidirect_s5_order_1920():
     from kummer.reps import standard_module
 
     m = standard_module(5, "S")
-    g = semidirect(4, m.group, m)
+    g = semidirect(m)
     assert g.order() == 1920
 
 
@@ -111,7 +112,7 @@ def test_semidirect_zero_dim_isomorphic():
     from kummer.reps import standard_module
 
     m = standard_module(3, "S")
-    g0 = semidirect(0, m.group, [[] for _ in m.group.generators])
+    g0 = semidirect(trivial_module(m.group, 0))
     base = m.group
     assert g0.order() == base.order()
     # the sorted orders tell S_3 (1,2,2,2,3,3) from C_6 (1,2,3,3,6,6), which
@@ -120,11 +121,11 @@ def test_semidirect_zero_dim_isomorphic():
 
 
 def test_semidirect_dimension_mismatch():
-    from kummer.reps import standard_module
+    # F_2^dim x| G needs an F_2 action: an F_3 module has no packed rows
+    from kummer.reps import permutation_module
 
-    m = standard_module(3, "S")
     with pytest.raises(DimensionMismatch):
-        semidirect(5, m.group, m)
+        semidirect(permutation_module(symmetric_group(3), 3))
 
 
 def test_has_index_2_normal_subgroup():
@@ -181,8 +182,7 @@ def test_soundness_checks_raise_typed_errors():
 def test_more_than_256_points_fails_closed_at_enumerate():
     # 2^8 x| S_3 has order 1536, far below the cap, but needs 256 + 3 points
     s3 = symmetric_group(3)
-    eye = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
-    g = semidirect(8, s3, [eye] * len(s3.generators))
+    g = semidirect(trivial_module(s3, 8))
     assert g.degree == 259 and g.known_order == 1536
     with pytest.raises(CapExceeded):
         g.enumerate()
@@ -194,9 +194,8 @@ def test_stabiliser_chain_takes_256_points_and_refuses_more():
     c256 = stabiliser_chain(FiniteGroup([from_cycles(256, [tuple(range(256))])]))
     assert c256.order == 256 and len(c256.hom_basis(2)) == 1
     s3 = symmetric_group(3)
-    eye = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
     with pytest.raises(CapExceeded):
-        stabiliser_chain(semidirect(8, s3, [eye] * len(s3.generators)))
+        stabiliser_chain(semidirect(trivial_module(s3, 8)))
 
 
 # differential checks against the naive element types in tests/oracles.py:
@@ -263,9 +262,9 @@ def test_oracle_bfs_semidirect_plain_twisted_and_linear_lift():
     def key(x):
         return _affine_key(x, 4, 5)
 
-    _assert_bfs_matches(semidirect(4, m.group, m), _oracle_affine_gens(m, 4), ident, key)
+    _assert_bfs_matches(semidirect(m), _oracle_affine_gens(m, 4), ident, key)
     twist = [(1, 0, 1, 0), (0, 1, 1, 0)]
-    twisted = torsor_factor_group(m, True, cocycle=twist)
+    twisted = twisted_torsor_group(m, twist)
     _assert_bfs_matches(twisted, _oracle_affine_gens(m, 1, twist), ident, key)
     assert twisted.order() == 1920
     lift = torsor_factor_group(m, False)
@@ -441,8 +440,7 @@ def test_a_chain_that_raised_is_not_kept():
             stabiliser_chain(g)
         assert g.chain is None
     s3 = symmetric_group(3)
-    eye = [[int(i == j) for j in range(8)] for i in range(8)]
-    big = semidirect(8, s3, [eye] * len(s3.generators))
+    big = semidirect(trivial_module(s3, 8))
     for name, label in (("", "group"), ("V x| S_3", "V x| S_3")):
         big.name = name
         with pytest.raises(CapExceeded, match=f"^{re.escape(label)} acts on 259 > 256 points$"):

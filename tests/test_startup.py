@@ -51,18 +51,19 @@ def test_no_engine_function_imports_in_its_body():
     assert found == []
 
 
-def test_cli_import_encodes_no_fragment():
+def test_cli_import_encodes_only_the_citations_fragment():
     # the report memos fill on the first call, so none of their encoding
-    # shows in the start-up time
+    # shows in the start-up time; the one fragment encoded on import is the
+    # citations list, which no input changes
     script = (
         "import sys\n"
-        "calls = set()\n"
-        "sys.setprofile(lambda frame, event, arg: event == 'call' and calls.add(frame.f_code.co_name))\n"
+        "calls = []\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and calls.append(frame.f_code.co_name))\n"
         "import kummer.cli\n"
         "sys.setprofile(None)\n"
         "from kummer import pipeline\n"
-        "memos = ('_certificate', '_disc_class', '_signature_outcomes', '_conclusions', '_citations')\n"
-        "print(*sorted(calls & {'report_json', '_encode', '_fragment'}))\n"
+        "memos = ('_certificate', '_disc_class', '_signature_outcomes', '_conclusions')\n"
+        "print(calls.count('_fragment'), calls.count('report_json'))\n"
         "print(sum(getattr(pipeline, name).cache_info().currsize for name in memos))\n"
     )
     out = subprocess.run(
@@ -72,4 +73,4 @@ def test_cli_import_encodes_no_fragment():
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["", "0"]
+    assert out.stdout.splitlines() == ["1 1", "0"]

@@ -44,6 +44,7 @@ from kummer.picard import KummerLatticeModel, numerology, torsor_factor_group
 from kummer.pipeline import CaseInput, FactorInput, parse_case
 from kummer.reps import GModule, is_simple, permutation_module, standard_module
 from kummer.smith import RowSolver, ZMatrix, bareiss_det
+from oracles import twisted_torsor_group
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,6 +153,7 @@ SITES = {
     "galois-degree-below-3": (lambda: certify_galois(IntPolynomial((1, 1))), InputError),
     "polynomial-float-coefficient": (lambda: IntPolynomial((1.7, 1)), InputError),
     "polynomial-no-coefficients": (lambda: IntPolynomial(()), InputError),
+    "polynomial-zero-leading-coefficient": (lambda: IntPolynomial((1, -1, 0, 0, 0, 1, 0)), InputError),
     "case-no-factors": (lambda: CaseInput(()), InputError),
     "case-unknown-mode": (
         lambda: parse_case({"factors": [{"poly": [1, -1, 0, 0, 0, 1]}], "mode": "heuristic"}),
@@ -169,7 +171,7 @@ SITES = {
     "module-zero-character": (lambda: GModule(S3, 2, 3, (EYE2, EYE2), (1, 3)), GroupMismatch),
     # G's generators carry a translation
     "torsor-group-translated-g-part": (
-        _torsor_factor_of(lambda m, flag: torsor_factor_group(m, flag, cocycle=[(1, 0), (0, 0)])),
+        _torsor_factor_of(lambda m, flag: twisted_torsor_group(m, [(1, 0), (0, 0)])),
         ActionMismatch,
     ),
     # G's matrices paired with the other generator's action on G's points
@@ -231,7 +233,7 @@ def _half_lattice():
 # each read-only value class: a builder of equal values and one of another
 # value; a Lattice field has no hash, so neither has its holder
 FROZEN = {
-    "IntPolynomial": (lambda: IntPolynomial((1, -1, 0, 0, 0, 1, 0)), lambda: X3),
+    "IntPolynomial": (lambda: IntPolynomial((1, -1, 0, 0, 0, 1)), lambda: X3),
     "GaloisCertificate": (
         lambda: GaloisCertificate(3, "SymmetricGroup", ((5, (1, 2), "odd"),), False, 100, -23),
         lambda: GaloisCertificate(3, "Unknown", (), False, 100, -23),
